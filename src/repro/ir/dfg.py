@@ -94,6 +94,10 @@ class DfgNode:
 class Dfg:
     """A dataflow graph for one offload region."""
 
+    #: Memoized :meth:`topological_order`; a class-level default so DFGs
+    #: pickled before the memo existed unpickle without it.
+    _topo_order = None
+
     def __init__(self, name="dfg"):
         self.name = name
         self._nodes = {}
@@ -107,6 +111,7 @@ class Dfg:
         node.check()
         self._nodes[node.node_id] = node
         self._next_id += 1
+        self._topo_order = None
         return node
 
     def add_input(self, name, lanes=1):
@@ -219,11 +224,17 @@ class Dfg:
     # Analysis
     # ------------------------------------------------------------------
     def topological_order(self):
-        """Node ids in dependence order.
+        """Node ids in dependence order (a fresh list per call).
 
         Reduction self-state does not form an explicit edge, so a valid
-        DFG is acyclic; cycles raise :class:`IrError`.
+        DFG is acyclic; cycles raise :class:`IrError`. The order is
+        memoized until the next node is added.
         """
+        if self._topo_order is None:
+            self._topo_order = self._compute_topological_order()
+        return list(self._topo_order)
+
+    def _compute_topological_order(self):
         indegree = {node_id: 0 for node_id in self._nodes}
         for src, dst, _idx, _lane in self.edges():
             indegree[dst] += 1

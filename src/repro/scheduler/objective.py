@@ -80,12 +80,12 @@ def evaluate_schedule(schedule, routing, timing_result=None,
                       telemetry=None):
     """Compute the :class:`ScheduleCost` of a (partial) schedule.
 
-    Evaluation is delta-friendly: every utilization table is served from
-    the schedule's live counters, and timing is cached per region on its
-    mutation epoch, so the cost of a call is proportional to the
-    resources in use plus the regions that actually changed — not the
-    whole schedule. ``telemetry`` counts ``sched_evaluations`` and the
-    timing cache hit/recompute split.
+    Evaluation is delta-friendly: every utilization table is read in
+    place from the schedule's live counters, and each region is re-timed
+    only from the first node a mutation could have changed, so the cost
+    of a call is proportional to the resources in use plus the changed
+    suffixes — not the whole schedule. ``telemetry`` counts
+    ``sched_evaluations`` and the timing cache hit/recompute split.
     """
     if telemetry is not None:
         telemetry.incr("sched_evaluations")
@@ -95,28 +95,37 @@ def evaluate_schedule(schedule, routing, timing_result=None,
     cost.unplaced = schedule.num_vertices() - len(schedule.placement)
     cost.unrouted = schedule.num_edges() - len(schedule.routes)
 
+    # The live counters are read in place, never copied: this runs for
+    # every candidate of every move. Their entries are never zero or
+    # empty (the observers drop them), and every capacity is at least
+    # one, so an entry of load 1 cannot be overused.
+    adg = schedule.adg
     # PE overuse: beyond one instruction for dedicated, beyond the
     # instruction buffer for shared.
-    for hw_name, load in schedule.pe_load().items():
-        hw = schedule.adg.node(hw_name)
-        capacity = hw.max_instructions if isinstance(
-            hw, ProcessingElement
-        ) else 1
-        cost.overuse_pe += max(0, load - capacity)
+    for hw_name, load in schedule._pe_load.items():
+        if load > 1:
+            hw = adg.node(hw_name)
+            capacity = hw.max_instructions if isinstance(
+                hw, ProcessingElement
+            ) else 1
+            cost.overuse_pe += max(0, load - capacity)
 
     # Sync elements host a single DFG port per configuration.
-    for hw_name, load in schedule.port_load().items():
-        cost.overuse_port += max(0, load - 1)
+    port_load = schedule._port_load
+    cost.overuse_port = sum(port_load.values()) - len(port_load)
 
     # A dedicated link carries one value per instance.
-    for link_id, load in schedule.link_load().items():
-        cost.overuse_link += max(0, load - 1)
+    link_values = schedule._link_value_refs
+    cost.overuse_link = sum(map(len, link_values.values())) - len(link_values)
 
     # Memory stream slots.
-    for memory_name, streams in schedule.memory_streams().items():
-        memory = schedule.adg.node(memory_name)
-        slots = memory.num_stream_slots if isinstance(memory, Memory) else 1
-        cost.overuse_memory += max(0, len(streams) - slots)
+    for memory_name, streams in schedule._memory_streams.items():
+        if len(streams) > 1:
+            memory = adg.node(memory_name)
+            slots = memory.num_stream_slots if isinstance(
+                memory, Memory
+            ) else 1
+            cost.overuse_memory += max(0, len(streams) - slots)
 
     timing = timing_result or compute_timing(
         schedule, routing, telemetry=telemetry

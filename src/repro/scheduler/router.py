@@ -1,11 +1,11 @@
 """Congestion-aware shortest-path routing over the ADG network.
 
 "Route this instruction's operands and dependences to the network using
-Dijkstra's algorithm" (Algorithm 1). :class:`RoutingGraph` precomputes
-adjacency once per ADG; :meth:`route` finds a cheapest path whose interior
-traverses only switches and delay FIFOs, with link costs inflated by
-current congestion so the stochastic search negotiates away overuse
-(in the spirit of PathFinder [51]).
+Dijkstra's algorithm" (Algorithm 1). :class:`RoutingGraph` builds
+adjacency once per ADG, on first use; :meth:`route` finds a cheapest
+path whose interior traverses only switches and delay FIFOs, with link
+costs inflated by current congestion so the stochastic search
+negotiates away overuse (in the spirit of PathFinder [51]).
 """
 
 import heapq
@@ -14,7 +14,7 @@ from repro.adg.components import DelayFifo, Switch
 
 
 class RoutingGraph:
-    """Precomputed routing view of an ADG.
+    """Routing view of an ADG.
 
     Rebuild after any topology edit (the repair pass does this).
     """
@@ -30,12 +30,16 @@ class RoutingGraph:
     def __init__(self, adg):
         self.adg = adg
         self._links = {link.link_id: link for link in adg.links()}
-        # The adjacency lists and per-source BFS hop tables only serve
-        # routing queries (``route``/``hops``/``reachable``); both are
-        # filled on first use so timing-only consumers — the simulator
-        # builds a RoutingGraph per replay just for ``path_latency`` —
-        # pay the link dict and nothing else.
-        self._adjacency = None  # node name -> [(link_id, dst, latency)]
+        # The adjacency lists, the passable-node set and the per-source
+        # BFS hop tables only serve routing queries (``route``/``hops``/
+        # ``reachable``); they are filled on first use, and per-link path
+        # latencies as links are first timed, so timing-only consumers —
+        # the simulator builds a RoutingGraph per replay just for
+        # ``path_latency`` — pay the link dict and nothing else.
+        # node name -> [(link_id, dst, LINK_COST + hop latency)]
+        self._adjacency = None
+        self._passable_names = None
+        self._link_latency = {}  # link_id -> pipeline cycles it adds
         self._hop_cache = {}
 
     def link(self, link_id):
@@ -51,14 +55,13 @@ class RoutingGraph:
                 if isinstance(dst_node, Switch):
                     latency = dst_node.latency
                 adjacency[link.src].append(
-                    (link.link_id, link.dst, latency))
+                    (link.link_id, link.dst, self.LINK_COST + latency))
             self._adjacency = adjacency
+            self._passable_names = frozenset(
+                name for name in adjacency
+                if isinstance(adg.node(name), (Switch, DelayFifo))
+            )
         return self._adjacency
-
-    def _passable(self, name):
-        """May a route pass *through* this node?"""
-        node = self.adg.node(name)
-        return isinstance(node, (Switch, DelayFifo))
 
     def route(self, src, dst, link_values=None, value=None, forbidden=None):
         """Cheapest path from hardware node ``src`` to ``dst``.
@@ -77,39 +80,45 @@ class RoutingGraph:
         if src == dst:
             return []
         adjacency = self._neighbors()
+        # Only switches and delay FIFOs forward traffic, so any other
+        # neighbour but ``dst`` is a dead end: it is never pushed. Heap
+        # order is total on (cost, name), so leaving those entries out
+        # does not change the order the remaining ones pop in.
+        passable = self._passable_names
         link_values = link_values or {}
         forbidden = forbidden or ()
+        congestion = self.CONGESTION_COST
+        heappush, heappop = heapq.heappush, heapq.heappop
+        unreached = float("inf")
         best = {src: 0.0}
         parent = {}
         heap = [(0.0, src)]
         visited = set()
         while heap:
-            cost, name = heapq.heappop(heap)
+            cost, name = heappop(heap)
             if name in visited:
                 continue
             visited.add(name)
             if name == dst:
                 break
-            if name != src and not self._passable(name):
-                continue  # terminal nodes cannot forward traffic
-            for link_id, neighbor, latency in adjacency[name]:
-                if neighbor in forbidden:
+            for link_id, neighbor, base_step in adjacency[name]:
+                if (
+                    neighbor not in passable and neighbor != dst
+                ) or neighbor in forbidden:
                     continue
                 occupants = link_values.get(link_id)
-                if occupants and value is not None and value in occupants:
+                if not occupants:
+                    step = base_step
+                elif value is not None and value in occupants:
                     # Fanout reuse: the wire already carries this value.
                     step = 0.1
                 else:
-                    step = (
-                        self.LINK_COST
-                        + latency
-                        + self.CONGESTION_COST * len(occupants or ())
-                    )
+                    step = base_step + congestion * len(occupants)
                 candidate = cost + step
-                if candidate < best.get(neighbor, float("inf")):
+                if candidate < best.get(neighbor, unreached):
                     best[neighbor] = candidate
                     parent[neighbor] = (name, link_id)
-                    heapq.heappush(heap, (candidate, neighbor))
+                    heappush(heap, (candidate, neighbor))
         if dst not in parent:
             return None
         path = []
@@ -124,14 +133,22 @@ class RoutingGraph:
     def path_latency(self, links):
         """Pipeline latency of a routed path (flopped switches add a cycle
         each; the final hop into the consumer is combinational)."""
+        table = self._link_latency
         latency = 0
         for link_id in links:
-            dst = self.adg.node(self._links[link_id].dst)
-            if isinstance(dst, Switch):
-                latency += dst.latency
-            elif isinstance(dst, DelayFifo):
-                latency += 1
+            hop = table.get(link_id)
+            if hop is None:
+                hop = table[link_id] = self._hop_latency(link_id)
+            latency += hop
         return latency
+
+    def _hop_latency(self, link_id):
+        dst = self.adg.node(self._links[link_id].dst)
+        if isinstance(dst, Switch):
+            return dst.latency
+        if isinstance(dst, DelayFifo):
+            return 1
+        return 0
 
     def reachable(self, src, dst):
         return self.route(src, dst) is not None
@@ -140,14 +157,15 @@ class RoutingGraph:
         """BFS hop table from ``src`` (interior hops through switches
         and delay FIFOs only)."""
         adjacency = self._neighbors()
+        passable = self._passable_names
         table = {src: 0}
         frontier = [src]
         while frontier:
             next_frontier = []
             for name in frontier:
-                if name != src and not self._passable(name):
+                if name != src and name not in passable:
                     continue
-                for link_id, neighbor, _latency in adjacency[name]:
+                for _link_id, neighbor, _step in adjacency[name]:
                     if neighbor not in table:
                         table[neighbor] = table[name] + 1
                         next_frontier.append(neighbor)
@@ -155,10 +173,11 @@ class RoutingGraph:
         return table
 
     def hops(self, src, dst):
-        """Congestion-free hop distance (precomputed); inf when
-        unreachable. Used to bias placement toward nearby tiles."""
+        """Congestion-free hop distance; inf when unreachable. The BFS
+        table from ``src`` is filled on first use and kept. Used to bias
+        placement toward nearby tiles."""
         table = self._hop_cache.get(src)
-        if table is None:  # src added after construction: fill on demand
+        if table is None:
             table = self._bfs_hops(src)
             self._hop_cache[src] = table
         return table.get(dst, float("inf"))

@@ -21,9 +21,15 @@ objective evaluates in time proportional to the resources actually in
 use rather than re-deriving every table per call. The from-scratch
 derivations are kept as ``_recompute_*`` oracles for property tests.
 
-Each mutation also bumps a per-region *epoch*; ``compute_timing`` caches
-per-region timing keyed on that epoch so only regions whose placement or
-routes changed are re-timed.
+Timing is cached per region together with its per-node ready/finish
+times and skew/flow contributions (see :mod:`repro.scheduler.timing`).
+Each region has a static :class:`RegionPlan` — its nodes in topological
+order — and a *dirty-from* position into it that the observers lower:
+placing or unplacing vertex ``v`` to the position of ``v``, adding or
+removing the route of edge ``e`` to the position of ``e.dst``, and
+``clear``/``rebind``/wholesale assignment to 0. A node's timing depends
+only on nodes before it and on the routes into it, so ``compute_timing``
+re-times a region from its dirty position on and reuses the prefix.
 
 Invariants callers must respect (all existing callers do):
 
@@ -94,6 +100,72 @@ class Edge:
     def value(self):
         """The multicast value identity carried by this edge."""
         return (self.region, self.src_id, self.lane)
+
+
+class RegionPlan:
+    """Static timing view of one region: its nodes in topological order.
+
+    Built once per scope from the DFG (fixed after lowering) and shared
+    by :meth:`Schedule.clone`, like the edge list. For the node at
+    topological position ``i``, ``steps[i]`` is None for inputs and
+    constants (their timing never changes) and otherwise
+    ``(vertex, is_instr, latency, operands)``; ``operands`` holds one
+    ``(edge, producer_position, producer_vertex)`` per non-constant
+    operand, predicate last, with ``producer_vertex`` None unless the
+    producer is an instruction. ``initial_ready`` maps every node but the
+    constants, which have no ready time, to 0, in topological order.
+    ``position`` maps node ids to positions, ``outputs`` maps output port
+    names to positions, and ``reduction_latency`` is the longest
+    reduction opcode latency.
+    """
+
+    __slots__ = ("position", "steps", "initial_ready", "outputs",
+                 "reduction_latency")
+
+    def __init__(self, region):
+        dfg = region.dfg
+        order = dfg.topological_order()
+        self.position = {node_id: index for index, node_id in enumerate(order)}
+        self.initial_ready = {}
+        self.steps = []
+        self.reduction_latency = 0
+        for node_id in order:
+            node = dfg.node(node_id)
+            if node.kind is not NodeKind.CONST:
+                self.initial_ready[node_id] = 0
+            if node.kind in (NodeKind.CONST, NodeKind.INPUT):
+                self.steps.append(None)
+                continue
+            refs = list(enumerate(node.operands))
+            if node.predicate is not None:
+                refs.append((-1, node.predicate))
+            operands = []
+            for index, ref in refs:
+                producer = dfg.node(ref.node_id)
+                if producer.kind is NodeKind.CONST:
+                    continue  # resident in the PE configuration
+                source = None
+                if producer.kind is NodeKind.INSTR:
+                    source = Vertex(region.name, ref.node_id)
+                operands.append((
+                    Edge(region.name, ref.node_id, node_id, index, ref.lane),
+                    self.position[ref.node_id],
+                    source,
+                ))
+            self.steps.append((
+                Vertex(region.name, node_id), node.is_instr, node.latency,
+                tuple(operands),
+            ))
+            if node.reduction:
+                self.reduction_latency = max(
+                    self.reduction_latency, node.latency
+                )
+        self.outputs = {
+            node.name: self.position[node.node_id] for node in dfg.outputs()
+        }
+
+    def __len__(self):
+        return len(self.steps)
 
 
 class _ObservedDict(dict):
@@ -176,10 +248,14 @@ class Schedule:
         self._link_value_refs = {}  # link_id -> {value: route refcount}
         self._memory_streams = {}   # memory name -> [(region, port), ...]
         self._route_length = 0      # total links across all routes
-        # Timing-cache state: per-region mutation epoch plus the cached
-        # RegionTiming entries keyed on it (see repro.scheduler.timing).
-        self._region_epoch = {}
-        self._timing_cache = {}     # region -> (epoch, has_delays, timing)
+        # Timing-cache state (see repro.scheduler.timing): the static
+        # per-region plans (shared by clones), the cached per-region
+        # entries (never mutated once stored, so clones share them) and
+        # the first topological position each entry is stale from.
+        # A region without a dirty-from value is stale from 0.
+        self._timing_plans = None
+        self._timing_cache = {}     # region -> cached timing entry
+        self._dirty_from = {}       # region -> first stale position
         self._placement = _ObservedDict(
             self._vertex_placed, self._vertex_unplaced
         )
@@ -200,6 +276,7 @@ class Schedule:
     def placement(self, mapping):
         items = dict(mapping)
         STATS["load_rebuilds"] += 1
+        self._dirty_from.clear()  # dropped entries notify no observer
         self._pe_load.clear()
         self._port_load.clear()
         self._pe_issue_cost.clear()
@@ -217,6 +294,7 @@ class Schedule:
     def routes(self, mapping):
         items = {key: list(value) for key, value in dict(mapping).items()}
         STATS["load_rebuilds"] += 1
+        self._dirty_from.clear()
         self._link_value_refs.clear()
         self._route_length = 0
         self._routes = _ObservedDict(self._route_added, self._route_removed)
@@ -240,10 +318,13 @@ class Schedule:
     # ------------------------------------------------------------------
     # Mutation observers
     # ------------------------------------------------------------------
-    def _bump_epoch(self, region_name):
-        self._region_epoch[region_name] = (
-            self._region_epoch.get(region_name, 0) + 1
-        )
+    def _mark_dirty(self, region_name, node_id):
+        """Lower the region's dirty-from position to ``node_id``'s."""
+        dirty = self._dirty_from.get(region_name, 0)
+        if dirty:  # 0: nothing cached, or stale from the start already
+            position = self._timing_plans[region_name].position[node_id]
+            if position < dirty:
+                self._dirty_from[region_name] = position
 
     @staticmethod
     def _decrement(table, key, amount):
@@ -262,7 +343,7 @@ class Schedule:
             )
         elif node.kind in (NodeKind.INPUT, NodeKind.OUTPUT):
             self._port_load[hw_name] = self._port_load.get(hw_name, 0) + 1
-        self._bump_epoch(vertex.region)
+        self._mark_dirty(vertex.region, vertex.node_id)
 
     def _vertex_unplaced(self, vertex, hw_name):
         node = self.node_of(vertex)
@@ -273,7 +354,7 @@ class Schedule:
             )
         elif node.kind in (NodeKind.INPUT, NodeKind.OUTPUT):
             self._decrement(self._port_load, hw_name, 1)
-        self._bump_epoch(vertex.region)
+        self._mark_dirty(vertex.region, vertex.node_id)
 
     def _route_added(self, edge, links):
         value = edge.value
@@ -281,7 +362,7 @@ class Schedule:
             refs = self._link_value_refs.setdefault(link_id, {})
             refs[value] = refs.get(value, 0) + 1
         self._route_length += len(links)
-        self._bump_epoch(edge.region)
+        self._mark_dirty(edge.region, edge.dst_id)
 
     def _route_removed(self, edge, links):
         value = edge.value
@@ -297,7 +378,7 @@ class Schedule:
                 if not refs:
                     del self._link_value_refs[link_id]
         self._route_length -= len(links)
-        self._bump_epoch(edge.region)
+        self._mark_dirty(edge.region, edge.dst_id)
 
     def _stream_bound(self, key, memory_name):
         self._memory_streams.setdefault(memory_name, []).append(key)
@@ -421,9 +502,7 @@ class Schedule:
         self._link_value_refs.clear()
         self._memory_streams.clear()
         self._route_length = 0
-        self._timing_cache.clear()
-        for region in self.scope.regions:
-            self._bump_epoch(region.name)
+        self._dirty_from.clear()
 
     def clone(self):
         twin = Schedule(self.scope, self.adg)
@@ -449,13 +528,14 @@ class Schedule:
             for memory, keys in self._memory_streams.items()
         }
         twin._route_length = self._route_length
-        twin._region_epoch = dict(self._region_epoch)
         twin._timing_cache = dict(self._timing_cache)
+        twin._dirty_from = dict(self._dirty_from)
         # The DFG-derived views are immutable: share them with the twin.
         self.edges()
         twin._edges = self._edges
         twin._edges_by_vertex = self._edges_by_vertex
         twin._all_vertices = self._all_vertices
+        twin._timing_plans = self._timing_plans
         return twin
 
     def rebind(self, adg):
@@ -463,9 +543,7 @@ class Schedule:
         self.adg = adg
         # Routed path latencies and component properties may differ on
         # the new hardware: every cached region timing is suspect.
-        self._timing_cache.clear()
-        for region in self.scope.regions:
-            self._bump_epoch(region.name)
+        self._dirty_from.clear()
 
     # ------------------------------------------------------------------
     # Pickling (warm schedules cross the DSE worker-process boundary)
@@ -560,28 +638,29 @@ class Schedule:
     # ------------------------------------------------------------------
     # Region timing cache (used by repro.scheduler.timing)
     # ------------------------------------------------------------------
-    def region_epoch(self, region_name):
-        """Monotonic counter bumped on every placement/route mutation
-        touching ``region_name``."""
-        return self._region_epoch.get(region_name, 0)
+    def timing_plan(self, region_name):
+        """The region's :class:`RegionPlan` (built once, shared by
+        clones)."""
+        if self._timing_plans is None:
+            self._timing_plans = {
+                region.name: RegionPlan(region)
+                for region in self.scope.regions
+            }
+        return self._timing_plans[region_name]
 
-    def cached_region_timing(self, region_name, need_delays):
-        """The cached RegionTiming for ``region_name`` if still valid
-        (same epoch; delay-FIFO assignments present when required)."""
+    def cached_region_timing(self, region_name):
+        """``(entry, dirty_from)``: the region's cached timing entry (None
+        when there is none) and the first topological position whose
+        timing may have changed since it was stored."""
         entry = self._timing_cache.get(region_name)
         if entry is None:
-            return None
-        epoch, has_delays, timing = entry
-        if epoch != self._region_epoch.get(region_name, 0):
-            return None
-        if need_delays and not has_delays:
-            return None
-        return timing
+            return None, 0
+        return entry, self._dirty_from.get(region_name, 0)
 
-    def store_region_timing(self, region_name, has_delays, timing):
-        self._timing_cache[region_name] = (
-            self._region_epoch.get(region_name, 0), has_delays, timing
-        )
+    def store_region_timing(self, region_name, entry):
+        """Cache ``entry`` as the region's timing for the current state."""
+        self._timing_cache[region_name] = entry
+        self._dirty_from[region_name] = len(self.timing_plan(region_name))
 
     # ------------------------------------------------------------------
     # From-scratch oracles (property-test ground truth for the counters)

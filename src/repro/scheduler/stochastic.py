@@ -61,6 +61,8 @@ class SpatialScheduler:
         self.telemetry = (
             telemetry if telemetry is not None else Telemetry(enabled=False)
         )
+        # Set per search iteration: consider every candidate, not a sample.
+        self._thorough = False
 
     def _evaluate(self, sched):
         return evaluate_schedule(
@@ -226,9 +228,7 @@ class SpatialScheduler:
             pool = self._port_candidates(sched, vertex)
         else:
             pool = sched.candidates_for(vertex)
-        if len(pool) <= self.max_candidates or getattr(
-            self, "_thorough", False
-        ):
+        if len(pool) <= self.max_candidates or self._thorough:
             return pool
         # Bias toward tiles near the vertex's placed neighbors (short
         # wires route and time more easily), keeping a random remainder

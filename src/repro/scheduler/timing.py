@@ -13,22 +13,32 @@ region this module computes:
 * execution-model flow violations (static -> dynamic without a sync
   element, dedicated -> shared).
 
-Per-region timing is cached on the schedule keyed on its mutation epoch
-(see :class:`repro.scheduler.schedule.Schedule`): a region is only
-re-timed when its placement or routes changed since the last call. The
-cross-region components (shared-PE contention, link time-multiplexing)
-are recomputed every call from the schedule's live counters, which is
-cheap, and merged into the cached per-region result without mutating it.
+Each region is timed by walking its static
+:class:`~repro.scheduler.schedule.RegionPlan` — nodes in topological
+order with their operand edges resolved once per scope. The schedule
+caches, per region, the per-node ready/finish times and skew/flow
+contributions of the last walk together with a *dirty-from* position
+that its mutation observers lower (see
+:class:`repro.scheduler.schedule.Schedule`). A node's timing depends
+only on earlier nodes and on the routes into it, so a call re-times a
+region from that position on and reuses the prefix; a region nothing
+touched is served whole. The cross-region components (shared-PE
+contention, link time-multiplexing) are recomputed every call from the
+schedule's live counters, which is cheap, and merged into the cached
+per-region result without mutating it.
+
+:func:`_time_region` is the from-scratch derivation of the same result,
+kept as the oracle the property tests compare against.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.adg.components import ProcessingElement
 from repro.ir.dfg import NodeKind
 from repro.ir.region import as_stream_list
 from repro.ir.stream import RecurrenceStream
 from repro.isa.opcodes import OPCODES
-from repro.scheduler.schedule import Vertex
+from repro.scheduler.schedule import Edge, Vertex
 
 
 @dataclass
@@ -67,6 +77,26 @@ def _node_latency(node):
     return 0
 
 
+class _RegionState:
+    """One region's cached timing walk: per plan position, the finish
+    time, skew and flow violations and the instruction's PE, with the
+    :class:`RegionTiming` they sum up to (its ``ready_times`` hold the
+    ready times). Never mutated once stored: clones share it, and a
+    partial re-time copies the lists."""
+
+    __slots__ = ("has_delays", "finish", "skew", "flow", "pes", "timing",
+                 "region_pes")
+
+    def __init__(self, has_delays, finish, skew, flow, pes, timing):
+        self.has_delays = has_delays
+        self.finish = finish
+        self.skew = skew
+        self.flow = flow
+        self.pes = pes
+        self.timing = timing
+        self.region_pes = set(pes)
+
+
 def compute_timing(schedule, routing, assign_delays=True, telemetry=None):
     """Compute :class:`TimingResult` for ``schedule``.
 
@@ -75,45 +105,151 @@ def compute_timing(schedule, routing, assign_delays=True, telemetry=None):
     ``assign_delays`` is set, the computed per-edge delay-FIFO settings
     are written into ``schedule.input_delays``.
 
-    Regions whose mutation epoch is unchanged since the previous call
-    are served from the schedule's timing cache; ``telemetry`` (a
-    :class:`repro.utils.telemetry.Telemetry`) counts
-    ``timing_region_recomputes`` vs ``timing_region_cache_hits``.
+    Each region is re-timed only from its dirty-from position on; a
+    region with nothing dirty is served whole from the schedule's cache.
+    ``telemetry`` (a :class:`repro.utils.telemetry.Telemetry`) counts
+    ``timing_region_recomputes`` (any re-time, partial or full) vs
+    ``timing_region_cache_hits``, and ``timing_nodes_retimed``, the
+    positions the re-times walked.
     """
     result = TimingResult()
-    per_pe = schedule.pe_issue_cost()
+    # Live counters, read without copying.
+    per_pe = schedule._pe_issue_cost
     ii_link = _link_initiation_interval(schedule)
     for region in schedule.regions():
-        cached = schedule.cached_region_timing(region.name, assign_delays)
-        if cached is None:
-            base = _time_region(schedule, routing, region, assign_delays)
-            region_pes = {
-                schedule.placement.get(Vertex(region.name, node.node_id))
-                for node in region.dfg.instructions()
-            }
-            schedule.store_region_timing(
-                region.name, assign_delays, (base, region_pes)
-            )
+        plan = schedule.timing_plan(region.name)
+        state, start = schedule.cached_region_timing(region.name)
+        if state is not None and assign_delays and not state.has_delays:
+            start = 0  # the prefix's delays were never written
+        if state is None or start < len(plan):
+            state = _retime_region(schedule, routing, region, plan,
+                                   state, start, assign_delays)
+            schedule.store_region_timing(region.name, state)
             if telemetry is not None:
                 telemetry.incr("timing_region_recomputes")
-        else:
-            base, region_pes = cached
-            if telemetry is not None:
-                telemetry.incr("timing_region_cache_hits")
+                telemetry.incr("timing_nodes_retimed", len(plan) - start)
+        elif telemetry is not None:
+            telemetry.incr("timing_region_cache_hits")
         # A region's II is bounded by the PEs *it* occupies (a once-per-
         # launch divide in a low-rate region must not throttle the
         # high-rate region it feeds) — but contention on shared PEs it
         # co-occupies with other regions is included via per-PE totals.
         # This cross-region component is merged on a copy so the cached
         # per-region result stays valid when *other* regions move.
+        base = state.timing
         region_ii = max(
-            (per_pe.get(hw, 1) for hw in region_pes if hw is not None),
+            (per_pe.get(hw, 1) for hw in state.region_pes
+             if hw is not None),
             default=1,
         )
-        result.regions[region.name] = replace(
-            base, ii=max(base.ii, region_ii, ii_link)
+        result.regions[region.name] = RegionTiming(
+            base.latency, max(base.ii, region_ii, ii_link),
+            base.recurrence_latency, base.skew_violations,
+            base.flow_violations, base.ready_times,
         )
     return result
+
+
+def _retime_region(schedule, routing, region, plan, cached, start,
+                   assign_delays):
+    """Time ``region`` from plan position ``start`` on, taking the
+    positions before it from ``cached`` (a :class:`_RegionState`, or None
+    to time every position). Returns the new state."""
+    if cached is None:
+        start = 0
+        size = len(plan)
+        ready = dict(plan.initial_ready)
+        finish = [0] * size
+        skew = [0] * size
+        flow = [0] * size
+        pes = [None] * size
+    else:
+        ready = dict(cached.timing.ready_times)
+        finish = list(cached.finish)
+        skew = list(cached.skew)
+        flow = list(cached.flow)
+        pes = list(cached.pes)
+    steps = plan.steps
+    route_of = schedule.routes.get
+    hw_of = schedule.placement.get
+    adg_node = schedule.adg.node
+    path_latency = routing.path_latency
+
+    for position in range(start, len(plan)):
+        step = steps[position]
+        if step is None:
+            continue  # inputs fire at t=0, constants are resident
+        vertex, is_instr, latency, operands = step
+        arrivals = []
+        target = 0
+        for edge, producer, _source in operands:
+            time = finish[producer]
+            route = route_of(edge)
+            if route is not None:
+                time += path_latency(route)
+            arrivals.append((edge, time))
+            if time > target:
+                target = time
+        ready[vertex.node_id] = target
+        finish[position] = target + latency
+        if not is_instr:
+            continue
+        hw_name = hw_of(vertex)
+        pes[position] = hw_name
+        if hw_name is None:
+            skew[position] = flow[position] = 0
+            continue
+        hw = adg_node(hw_name)
+        if isinstance(hw, ProcessingElement) and not hw.is_dynamic:
+            skew[position] = _assign_delays(
+                schedule, hw, arrivals, target, assign_delays
+            )
+        else:
+            skew[position] = 0
+        flow[position] = _plan_flow_violations(schedule, operands, hw)
+
+    timing = RegionTiming(
+        latency=max(finish, default=0),
+        recurrence_latency=_plan_recurrence_latency(region, plan, finish),
+        skew_violations=sum(skew),
+        flow_violations=sum(flow),
+        ready_times=ready,
+    )
+    return _RegionState(assign_delays, finish, skew, flow, pes, timing)
+
+
+def _plan_flow_violations(schedule, operands, hw):
+    """:func:`_flow_violations` over a plan step's operands."""
+    violations = 0
+    for _edge, _producer, source in operands:
+        if source is None:
+            continue  # only instruction producers carry a model
+        producer_hw_name = schedule.placement.get(source)
+        if producer_hw_name is None:
+            continue
+        producer_hw = schedule.adg.node(producer_hw_name)
+        if not isinstance(producer_hw, ProcessingElement):
+            continue
+        if not producer_hw.is_dynamic and hw.is_dynamic:
+            violations += 1
+        if not producer_hw.is_shared and hw.is_shared:
+            violations += 1
+    return violations
+
+
+def _plan_recurrence_latency(region, plan, finish):
+    """:func:`_recurrence_latency` from per-position finish times."""
+    longest = max(
+        region.metadata.get("forced_recurrence", 0), plan.reduction_latency
+    )
+    for binding in region.input_streams.values():
+        for stream in as_stream_list(binding):
+            if not isinstance(stream, RecurrenceStream):
+                continue
+            source = plan.outputs.get(stream.source_port)
+            if source is not None:
+                longest = max(longest, finish[source] + 2)
+    return longest
 
 
 def _pe_initiation_intervals(schedule):
@@ -138,11 +274,15 @@ def _pe_initiation_intervals(schedule):
 def _link_initiation_interval(schedule):
     """A link carrying k software edges time-multiplexes k words per
     instance."""
-    load = schedule.link_load()
-    return max(load.values(), default=1)
+    return max(map(len, schedule._link_value_refs.values()), default=1)
 
 
 def _time_region(schedule, routing, region, assign_delays):
+    """From-scratch timing of one region, straight from its DFG.
+
+    The oracle for the cached, plan-based :func:`compute_timing`; only
+    the tests call it.
+    """
     timing = RegionTiming()
     dfg = region.dfg
     ready = {}
@@ -169,8 +309,8 @@ def _time_region(schedule, routing, region, assign_delays):
             if producer.kind is NodeKind.CONST:
                 continue  # constants are resident in the PE configuration
             operand_index = index if index < len(node.operands) else -1
-            edge = _find_edge(schedule, region.name, ref.node_id,
-                              node_id, operand_index, ref.lane)
+            edge = Edge(region.name, ref.node_id, node_id, operand_index,
+                        ref.lane)
             base = finish.get(ref.node_id, 0)
             route = schedule.routes.get(edge)
             hop = routing.path_latency(route) if route is not None else 0
@@ -202,12 +342,6 @@ def _time_region(schedule, routing, region, assign_delays):
     if timing.recurrence_latency:
         timing.ii = max(timing.ii, 1)
     return timing
-
-
-def _find_edge(schedule, region_name, src_id, dst_id, operand_index, lane):
-    from repro.scheduler.schedule import Edge
-
-    return Edge(region_name, src_id, dst_id, operand_index, lane)
 
 
 def _assign_delays(schedule, pe, arrivals, target, assign):

@@ -1,5 +1,7 @@
 """Tests for the dataflow graph (repro.ir.dfg)."""
 
+import pickle
+
 import pytest
 
 from repro.errors import IrError
@@ -82,6 +84,41 @@ class TestAnalysis:
         sq = dfg.add_instr("mul", [a, a])
         dfg.add_output("o", sq)
         assert len(dfg.topological_order()) == 3
+
+    def test_order_memo_sees_later_nodes(self):
+        dfg, (a, b, mul, add) = simple_dfg()
+        before = dfg.topological_order()
+        late = dfg.add_instr("mul", [add, b])
+        out = dfg.add_output("late", late)
+        order = dfg.topological_order()
+        assert order == before + [late.node_id, out.node_id]
+        assert order == dfg._compute_topological_order()
+
+    def test_returned_order_is_a_copy(self):
+        dfg, _ = simple_dfg()
+        order = dfg.topological_order()
+        expected = list(order)
+        order.reverse()
+        order.append(99)
+        assert dfg.topological_order() == expected
+        assert dfg.topological_order() is not dfg.topological_order()
+
+    def test_pickle_without_memo_attribute(self):
+        """Artifacts pickled before the memo existed carry no
+        ``_topo_order`` in their state; they must still order."""
+        dfg, (a, b, mul, add) = simple_dfg()
+        expected = dfg.topological_order()
+        state = dict(dfg.__dict__)
+        state.pop("_topo_order")
+        legacy = Dfg.__new__(Dfg)
+        legacy.__dict__.update(state)
+        loaded = pickle.loads(pickle.dumps(legacy))
+        assert "_topo_order" not in loaded.__dict__
+        assert loaded.topological_order() == expected
+        extra = loaded.add_instr("add", [mul, b])
+        order = loaded.topological_order()
+        assert extra.node_id in order
+        assert order == loaded._compute_topological_order()
 
     def test_users_of(self):
         dfg, (a, b, mul, add) = simple_dfg()

@@ -4,30 +4,38 @@ The schedule maintains utilization counters (``pe_load``/``port_load``/
 ``link_values``/``memory_streams``/issue cost/route length) live under
 mutation instead of re-deriving them per objective evaluation. These
 tests pin the incremental state to the from-scratch ``_recompute_*``
-oracles under randomized mutation sequences, check the region-timing
-cache keyed on mutation epochs, and carry the regression tests for the
-two move-operator bugs fixed in the same change (`_swap_instructions`
-reporting progress after a revert, `_reroute_congested` losing a route
-when an endpoint went unplaced).
+oracles under randomized mutation sequences, pin dirty-suffix re-timing
+to the from-scratch ``_time_region`` oracle, and carry the regression
+tests for the two move-operator bugs fixed in the same change
+(`_swap_instructions` reporting progress after a revert,
+`_reroute_congested` losing a route when an endpoint went unplaced).
 """
 
 import pickle
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.adg import Adg, topologies
 from repro.adg.components import (
     Direction,
     ProcessingElement,
+    Resourcing,
+    Scheduling,
     Switch,
     SyncElement,
 )
 from repro.ir import ConfigScope, Dfg, LinearStream, OffloadRegion
-from repro.ir.stream import StreamDirection
+from repro.ir.stream import RecurrenceStream, StreamDirection
 from repro.scheduler import RoutingGraph, Schedule, SpatialScheduler
 from repro.scheduler import stochastic as stochastic_mod
 from repro.scheduler.objective import evaluate_schedule
 from repro.scheduler.schedule import Edge, Vertex
-from repro.scheduler.timing import compute_timing
+from repro.scheduler.timing import (
+    _pe_initiation_intervals,
+    _time_region,
+    compute_timing,
+)
 from repro.utils.rng import DeterministicRng
 from repro.utils.telemetry import Telemetry
 from repro.verify import lint_schedule
@@ -36,7 +44,7 @@ from tests.test_scheduler import dot_scope
 
 
 def two_region_scope():
-    """Two independent dot-product regions (distinct epochs/timings)."""
+    """Two independent dot-product regions (independently cached timings)."""
     regions = []
     for name, unroll in (("r0", 4), ("r1", 2)):
         donor = dot_scope(n=8, unroll=unroll).regions[0]
@@ -222,7 +230,7 @@ class TestTimingCache:
         telemetry = Telemetry()
         scheduler = SpatialScheduler(adg, max_iters=60)
         sched, _ = scheduler.schedule(dot_scope())
-        sched.placement.pop(next(iter(sched.placement)))  # fresh epoch
+        sched.placement.pop(next(iter(sched.placement)))  # dirties the region
         compute_timing(sched, scheduler.routing, assign_delays=False,
                        telemetry=telemetry)
         hits = telemetry.counters.get("timing_region_cache_hits", 0)
@@ -249,6 +257,221 @@ class TestTimingCache:
         assert telemetry.counters[
             "timing_region_recomputes"
         ] == recomputes + 1
+
+
+def mixed_fabric():
+    """Softbrain with a mix of PE execution models: some dynamic, some
+    shared, some with one-deep delay FIFOs — so flow and skew violations
+    both occur under random placements."""
+    adg = topologies.softbrain()
+    for index, pe in enumerate(adg.pes()):
+        if index % 4 == 1:
+            pe.scheduling = Scheduling.DYNAMIC
+        elif index % 4 == 2:
+            pe.resourcing = Resourcing.SHARED
+            pe.max_instructions = 4
+        elif index % 4 == 3:
+            pe.delay_fifo_depth = 1
+    return adg
+
+
+def timing_scope():
+    """Two regions covering every timing feature: constant and lane
+    operands, a predicate edge, a reduction, two outputs, and a
+    self-recurrence stream looping an output back into an input."""
+    dfg = Dfg("p")
+    x = dfg.add_input("x", lanes=2)
+    k = dfg.add_const(3)
+    m0 = dfg.add_instr("mul", [(x, 0), k])
+    m1 = dfg.add_instr("mul", [(x, 1), (x, 0)])
+    guard = dfg.add_instr("cmp_gt", [m0, m1])
+    total = dfg.add_instr("add", [m0, m1], predicate=guard)
+    acc = dfg.add_instr("acc", [total], reduction=True)
+    dfg.add_output("o", acc)
+    dfg.add_output("q", total)
+    pred = OffloadRegion(
+        "p", dfg,
+        input_streams={"x": LinearStream("X", length=8)},
+        output_streams={
+            "o": LinearStream("O", direction=StreamDirection.WRITE,
+                              length=1),
+            "q": LinearStream("Q", direction=StreamDirection.WRITE,
+                              length=8),
+        },
+    )
+    loop_dfg = Dfg("loop")
+    y = loop_dfg.add_input("y")
+    c = loop_dfg.add_input("c")
+    step = loop_dfg.add_instr("fmul", [y, c])
+    loop_dfg.add_output("c_out", loop_dfg.add_instr("add", [step, c]))
+    loop = OffloadRegion(
+        "loop", loop_dfg,
+        input_streams={
+            "y": LinearStream("Y", length=8),
+            "c": [
+                LinearStream("C", length=4),
+                RecurrenceStream(array="", source_port="c_out", length=4),
+            ],
+        },
+        output_streams={
+            "c_out": LinearStream("C", direction=StreamDirection.WRITE,
+                                  length=4),
+        },
+    )
+    return ConfigScope("s", regions=[pred, loop])
+
+
+def assert_timing_matches_oracle(sched, routing, assign_delays):
+    """The cached, dirty-suffix ``compute_timing`` equals the
+    from-scratch ``_time_region`` on a fresh clone, field by field, and
+    leaves ``input_delays`` identical, insertion order included."""
+    twin = sched.clone()
+    live = compute_timing(sched, routing, assign_delays=assign_delays)
+    per_pe = _pe_initiation_intervals(twin)
+    ii_link = max(
+        (len(values) for values in twin._recompute_link_values().values()),
+        default=1,
+    )
+    for region in twin.regions():
+        oracle = _time_region(twin, routing, region, assign_delays)
+        pes = {
+            twin.placement.get(Vertex(region.name, node.node_id))
+            for node in region.dfg.instructions()
+        }
+        oracle.ii = max(
+            oracle.ii, ii_link,
+            max((per_pe.get(hw, 1) for hw in pes if hw is not None),
+                default=1),
+        )
+        got = live.regions[region.name]
+        for name in ("latency", "ii", "recurrence_latency",
+                     "skew_violations", "flow_violations"):
+            assert getattr(got, name) == getattr(oracle, name), (
+                region.name, name)
+        assert list(got.ready_times.items()) == list(
+            oracle.ready_times.items()
+        )
+    assert list(sched.input_delays.items()) == list(
+        twin.input_delays.items()
+    )
+
+
+MUTATIONS = ("place", "place", "place", "unplace", "route", "route",
+             "unroute", "reroute", "swap_revert", "clone", "rebind",
+             "clear")
+
+
+class TestDirtySuffixTiming:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(steps=st.lists(
+        st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 999),
+                  st.integers(0, 999)),
+        min_size=1, max_size=40,
+    ))
+    def test_matches_from_scratch_oracle(self, steps):
+        adg = mixed_fabric()
+        routing = RoutingGraph(adg)
+        sched = Schedule(timing_scope(), adg)
+        vertices = sched.vertices()
+        edges = sched.edges()
+        link_ids = [link.link_id for link in adg.links()]
+        instrs = sched.instruction_vertices()
+
+        def route(edge, salt):
+            src = sched.placement.get(edge.src)
+            dst = sched.placement.get(edge.dst)
+            if src is not None and dst is not None:
+                path = routing.route(src, dst, sched.link_values(),
+                                     edge.value)
+            else:  # searches carry routes whose endpoint moved away
+                path = [link_ids[(salt + 7 * i) % len(link_ids)]
+                        for i in range(salt % 4)]
+            if path is not None:
+                sched.set_route(edge, path)
+
+        for op, first, second in steps:
+            edge = edges[first % len(edges)]
+            if op == "place":
+                vertex = vertices[first % len(vertices)]
+                pool = sched.candidates_for(vertex)
+                if pool:
+                    sched.place(vertex, pool[second % len(pool)])
+            elif op == "unplace":
+                sched.unplace(vertices[first % len(vertices)])
+            elif op == "route":
+                route(edge, second)
+            elif op == "unroute":
+                sched.routes.pop(edge, None)
+            elif op == "reroute":
+                old = sched.routes.pop(edge, None)
+                route(edge, second)
+                if edge not in sched.routes and old is not None:
+                    sched.set_route(edge, old)
+            elif op == "swap_revert":
+                # The scheduler's swap move, timed mid-swap, then undone.
+                a = instrs[first % len(instrs)]
+                b = instrs[second % len(instrs)]
+                hw_a = sched.placement.get(a)
+                hw_b = sched.placement.get(b)
+                if a == b or hw_a is None or hw_b is None:
+                    continue
+                touched = set(sched.edges_of(a)) | set(sched.edges_of(b))
+                saved = {e: list(sched.routes[e])
+                         for e in touched if e in sched.routes}
+                sched.unplace(a)
+                sched.unplace(b)
+                sched.place(a, hw_b)
+                sched.place(b, hw_a)
+                for moved in (a, b):
+                    for swapped in sched.edges_of(moved):
+                        route(swapped, second)
+                assert_timing_matches_oracle(sched, routing, True)
+                sched.unplace(a)
+                sched.unplace(b)
+                sched.place(a, hw_a)
+                sched.place(b, hw_b)
+                for saved_edge, links in saved.items():
+                    sched.set_route(saved_edge, links)
+            elif op == "clone":
+                sched = sched.clone()
+            elif op == "rebind":
+                sched.rebind(adg if second % 2 else adg.clone())
+            else:
+                sched.clear()
+            # Leave some mutations to accumulate before the next check,
+            # so one re-time covers several dirty positions.
+            if second % 3:
+                assert_timing_matches_oracle(sched, routing,
+                                             bool(second % 2))
+        assert_timing_matches_oracle(sched, routing, True)
+        assert_timing_matches_oracle(sched, routing, False)
+
+    def test_late_mutation_retimes_only_the_suffix(self):
+        adg = topologies.softbrain()
+        scheduler = SpatialScheduler(adg, max_iters=60)
+        sched, cost = scheduler.schedule(dot_scope(unroll=4))
+        assert cost.is_legal
+        plan = sched.timing_plan("dot")
+        telemetry = Telemetry()
+        compute_timing(sched, scheduler.routing, telemetry=telemetry)
+        assert telemetry.counters.get("timing_nodes_retimed", 0) == 0
+        # The reduction feeds only the output: re-placing it dirties
+        # the last two positions.
+        acc = next(
+            v for v in sched.instruction_vertices()
+            if sched.node_of(v).reduction
+        )
+        hw = sched.placement[acc]
+        sched.placement.pop(acc)
+        sched.place(acc, hw)
+        compute_timing(sched, scheduler.routing, telemetry=telemetry)
+        assert telemetry.counters["timing_region_recomputes"] == 1
+        assert telemetry.counters["timing_nodes_retimed"] == (
+            len(plan) - plan.position[acc.node_id]
+        )
+        assert len(plan) - plan.position[acc.node_id] == 2
+        assert_timing_matches_oracle(sched, scheduler.routing, True)
 
 
 class TestDeterminism:
