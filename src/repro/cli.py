@@ -716,8 +716,7 @@ def build_parser():
                             help="generation pipeline: 'multi' "
                                  "(surrogate-ranked wide generation, "
                                  "full compile on finalists) or 'full' "
-                                 "(default: $REPRO_DSE_FIDELITY or "
-                                 "multi)")
+                                 "(default: multi)")
     dse_parser.add_argument("--surrogate-top", type=int, default=None,
                             help="finalists fully evaluated per "
                                  "generation (default: --batch)")

@@ -28,7 +28,6 @@ from repro.dse.explorer import (
     DesignSpaceExplorer,
     DseHistoryEntry,
     DseResult,
-    default_fidelity,
 )
 from repro.dse.compose import (
     CompositionExplorer,
@@ -47,7 +46,6 @@ __all__ = [
     "sample_generation",
     "DseObjective",
     "DSE_FIDELITIES",
-    "default_fidelity",
     "DesignSpaceExplorer",
     "DseResult",
     "DseHistoryEntry",

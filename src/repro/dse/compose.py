@@ -34,17 +34,9 @@ contracts:
   ``workers=1``, and checkpoint/resume round-trips the trajectory.
 """
 
-import base64
-import json
 import os
-import pickle
 import time
 from dataclasses import asdict, dataclass, field
-
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.adg import topologies
 from repro.adg.features import graph_feature_vector
@@ -52,11 +44,13 @@ from repro.adg.merge import merge_all
 from repro.compiler.pipeline import compile_kernel
 from repro.dse.mutation import trim_unused_features
 from repro.dse.objective import DseObjective
-from repro.dse.explorer import DSE_FIDELITIES, default_fidelity
+from repro.dse.explorer import resolve_fidelity
 from repro.errors import DsagenError, DseError
 from repro.estimation.power_area import default_model
 from repro.estimation.surrogate import SurrogateModel
 from repro.scheduler.warmstart import translate_warm_schedules
+from repro.utils import checkpoint
+from repro.utils.pool import ForkPool
 from repro.utils.rng import DeterministicRng
 from repro.utils.telemetry import Telemetry
 
@@ -240,19 +234,13 @@ class ComposeOutcome:
     counters: dict = field(default_factory=dict)
 
 
-#: Module global read by pool workers; set by :meth:`run` immediately
-#: before the (fork-started) pool is created so children inherit it.
-_COMPOSE_CONTEXT = None
-
-
-def _evaluate_composition(task, context=None):
+def _evaluate_composition(task, ctx):
     """Warm-start + compile every kernel on its cluster fabric.
 
     Pure in ``(task, context)``: the serial path and the process-pool
     path are interchangeable. All framework errors fold into a failed
     outcome so one bad composition never aborts its generation.
     """
-    ctx = context if context is not None else _COMPOSE_CONTEXT
     stage = {}
     counters = {"compose_evaluated": 1}
     start = time.perf_counter()
@@ -326,6 +314,15 @@ def _evaluate_composition(task, context=None):
     )
 
 
+def _worker_failed(task):
+    """A composition whose in-process retry also died: rejected."""
+    return ComposeOutcome(
+        index=task.index, iteration=task.iteration, ok=False,
+        partition=task.partition, reason="worker-failed",
+        counters={"compose_evaluated": 1, "compose_failed": 1},
+    )
+
+
 # ---------------------------------------------------------------------------
 # History / result containers
 # ---------------------------------------------------------------------------
@@ -389,12 +386,7 @@ class CompositionExplorer:
             raise DseError("composition needs at least one kernel")
         self.specialized = dict(specialized)
         self.rng = rng or DeterministicRng("compose")
-        fidelity = default_fidelity() if fidelity is None else fidelity
-        if fidelity not in DSE_FIDELITIES:
-            raise DseError(
-                f"unknown DSE fidelity {fidelity!r}; expected one of "
-                f"{', '.join(DSE_FIDELITIES)}"
-            )
+        fidelity = resolve_fidelity(fidelity)
         self.fidelity = fidelity
         self.surrogate_top = (
             int(surrogate_top) if surrogate_top is not None else None
@@ -417,8 +409,6 @@ class CompositionExplorer:
         self.workers = max(1, int(workers))
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.eval_timeout = eval_timeout
-        self._pool = None
-        self._pool_workers = 1
         self._fabric_cache = {}  # cluster tuple -> (fabric, {k: node_map})
 
     # ------------------------------------------------------------------
@@ -458,77 +448,6 @@ class CompositionExplorer:
             area_budget_mm2=self.objective.area_budget_mm2,
             power_budget_mw=self.objective.power_budget_mw,
         )
-
-    # -- pool management (same degradation contract as the explorer) ----
-    def _make_pool(self, workers):
-        if workers <= 1:
-            return None
-        if "fork" not in multiprocessing.get_all_start_methods():
-            self.telemetry.incr("pool_unavailable")
-            return None
-        try:
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-        except OSError:
-            self.telemetry.incr("pool_unavailable")
-            return None
-
-    def _rebuild_pool(self):
-        if self._pool is not None:
-            try:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-            self.telemetry.incr("compose_pool_rebuilds")
-        self._pool = self._make_pool(self._pool_workers)
-
-    def _retry_serially(self, task, context):
-        self.telemetry.incr("compose_worker_retries")
-        try:
-            return _evaluate_composition(task, context)
-        except Exception:
-            return ComposeOutcome(
-                index=task.index, iteration=task.iteration, ok=False,
-                partition=task.partition, reason="worker-failed",
-                counters={"compose_evaluated": 1, "compose_failed": 1},
-            )
-
-    def _evaluate_batch(self, tasks, context):
-        pool = self._pool
-        if pool is None:
-            return [_evaluate_composition(task, context)
-                    for task in tasks]
-        try:
-            futures = [
-                (task, pool.submit(_evaluate_composition, task))
-                for task in tasks
-            ]
-        except Exception:
-            self.telemetry.incr("worker_errors")
-            self._rebuild_pool()
-            return [self._retry_serially(task, context) for task in tasks]
-        outcomes = []
-        rebuild = False
-        for task, future in futures:
-            try:
-                outcomes.append(future.result(timeout=self.eval_timeout))
-            except _FutureTimeout:
-                self.telemetry.incr("compose_worker_timeouts")
-                future.cancel()
-                rebuild = True
-                outcomes.append(self._retry_serially(task, context))
-            except BrokenProcessPool:
-                self.telemetry.incr("worker_errors")
-                rebuild = True
-                outcomes.append(self._retry_serially(task, context))
-            except Exception:
-                self.telemetry.incr("worker_errors")
-                outcomes.append(self._retry_serially(task, context))
-        if rebuild:
-            self._rebuild_pool()
-        return outcomes
 
     # ------------------------------------------------------------------
     def _composition_features(self, partition):
@@ -622,7 +541,9 @@ class CompositionExplorer:
 
         saved = None
         if resume and checkpoint_path and os.path.exists(checkpoint_path):
-            saved = self._load_checkpoint(checkpoint_path)
+            saved = checkpoint.read(
+                checkpoint_path, COMPOSE_CHECKPOINT_VERSION, self._pins()
+            )
 
         context = self._context()
         result = None
@@ -640,7 +561,11 @@ class CompositionExplorer:
                 kernel_cycles=kernel_cycles,
             )
             result.history = [
-                ComposeHistoryEntry(**entry) for entry in saved["history"]
+                ComposeHistoryEntry(**{
+                    **entry,
+                    "partition": canonical_partition(entry["partition"]),
+                })
+                for entry in saved["history"]
             ]
             stale = saved["stale"]
             start_iteration = saved["iteration"] + 1
@@ -656,12 +581,24 @@ class CompositionExplorer:
             best_partition = None
             best_score = float("-inf")
 
-        global _COMPOSE_CONTEXT
-        _COMPOSE_CONTEXT = context
-        self._pool_workers = workers
-        self._pool = self._make_pool(workers)
+        def save(iteration):
+            checkpoint.write(checkpoint_path, {
+                "version": COMPOSE_CHECKPOINT_VERSION,
+                **self._pins(),
+                "iteration": iteration,
+                "stale": stale,
+                "best_objective": best_score,
+                "history": [asdict(entry) for entry in result.history],
+            }, (result.best_partition, self.surrogate,
+                dict(result.strategy_best), dict(result.kernel_cycles)))
+            telemetry.incr("compose_checkpoints_written")
+
         last_iteration = start_iteration - 1
-        try:
+        with ForkPool(
+            _evaluate_composition, context, workers, telemetry.incr,
+            "compose", failed=_worker_failed,
+            eval_timeout=self.eval_timeout,
+        ) as pool:
             if saved is None:
                 seeds = [canonical_partition([names])]
                 per_kernel = canonical_partition(
@@ -678,7 +615,7 @@ class CompositionExplorer:
                     area_budget_mm2=self.objective.area_budget_mm2,
                 )
                 accepted = self._run_generation(
-                    candidates, 0, result, best_score, context,
+                    pool, candidates, 0, result, best_score,
                     finalists=len(candidates),
                 )
                 if accepted is None:
@@ -692,9 +629,7 @@ class CompositionExplorer:
                 result.kernel_cycles = cycles
                 last_iteration = 0
                 if checkpoint_path:
-                    self._write_checkpoint(
-                        checkpoint_path, 0, stale, result, best_score,
-                    )
+                    save(0)
 
             for iteration in range(start_iteration, max_iters + 1):
                 if stale >= patience:
@@ -707,8 +642,8 @@ class CompositionExplorer:
                     stale += 1
                 else:
                     accepted = self._run_generation(
-                        candidates, iteration, result, best_score,
-                        context, finalists=finalists,
+                        pool, candidates, iteration, result, best_score,
+                        finalists=finalists,
                     )
                     if accepted is None:
                         stale += 1
@@ -720,21 +655,10 @@ class CompositionExplorer:
                         stale = 0
                 last_iteration = iteration
                 if checkpoint_path and iteration % checkpoint_every == 0:
-                    self._write_checkpoint(
-                        checkpoint_path, iteration, stale, result,
-                        best_score,
-                    )
-        finally:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-            _COMPOSE_CONTEXT = None
+                    save(iteration)
 
         if checkpoint_path:
-            self._write_checkpoint(
-                checkpoint_path, last_iteration, stale, result,
-                best_score,
-            )
+            save(last_iteration)
 
         wall = time.perf_counter() - run_start
         summary = telemetry.summary()
@@ -757,8 +681,8 @@ class CompositionExplorer:
         return result
 
     # ------------------------------------------------------------------
-    def _run_generation(self, candidates, iteration, result, best_score,
-                        context, finalists=None):
+    def _run_generation(self, pool, candidates, iteration, result,
+                        best_score, finalists=None):
         """Evaluate one generation of (partition, descriptions)
         candidates; returns ``(partition, score, cycles)`` for a strict
         improvement or None."""
@@ -778,7 +702,7 @@ class CompositionExplorer:
                 seed=self.rng.spawn("ceval", iteration, idx).seed,
             ))
         with telemetry.timer("evaluate"):
-            outcomes = self._evaluate_batch(tasks, context)
+            outcomes = pool.map(tasks)
         winner = None
         winner_score = best_score
         scores = []
@@ -861,90 +785,19 @@ class CompositionExplorer:
             for name in sorted(self.specialized)
         ]
 
-    def _write_checkpoint(self, path, iteration, stale, result,
-                          best_score):
-        """Atomic JSON checkpoint; the surrogate/partition state rides
-        a base64 pickle blob (same contract as the DSE explorer)."""
-        record = {
-            "version": COMPOSE_CHECKPOINT_VERSION,
+    def _pins(self):
+        """Settings a resumed run must share with the checkpoint's
+        writer; any difference would fork the trajectory."""
+        return {
             "seed": repr(self.rng.seed),
             "fidelity": self.fidelity,
             "surrogate_top": self.surrogate_top,
             "surrogate_widen": self.surrogate_widen,
             "recalibrate_every": self.recalibrate_every,
+            "sched_iters": self.sched_iters,
             "area_budget_mm2": self.objective.area_budget_mm2,
             "power_budget_mw": self.objective.power_budget_mw,
-            "sched_iters": self.sched_iters,
             "specialized": self._specialized_fingerprint(),
-            "iteration": iteration,
-            "stale": stale,
-            "best_objective": best_score,
-            "history": [asdict(entry) for entry in result.history],
-            "state_blob": base64.b64encode(pickle.dumps((
-                result.best_partition, self.surrogate,
-                dict(result.strategy_best), dict(result.kernel_cycles),
-            ))).decode("ascii"),
-        }
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as handle:
-            json.dump(record, handle)
-        os.replace(tmp, path)
-        self.telemetry.incr("compose_checkpoints_written")
-
-    def _load_checkpoint(self, path):
-        with open(path) as handle:
-            record = json.load(handle)
-        version = record.get("version")
-        if version != COMPOSE_CHECKPOINT_VERSION:
-            raise DseError(
-                f"checkpoint {path!r} has version {version!r}; "
-                f"expected {COMPOSE_CHECKPOINT_VERSION}"
-            )
-        if record.get("seed") != repr(self.rng.seed):
-            raise DseError(
-                f"checkpoint {path!r} was written with seed "
-                f"{record.get('seed')}; this run uses "
-                f"{self.rng.seed!r} — resuming would break trajectory "
-                "determinism"
-            )
-        for knob in ("fidelity", "surrogate_top", "surrogate_widen",
-                     "recalibrate_every", "sched_iters"):
-            if record.get(knob) != getattr(self, knob):
-                raise DseError(
-                    f"checkpoint {path!r} was written with "
-                    f"{knob}={record.get(knob)!r}; this run uses "
-                    f"{getattr(self, knob)!r} — resuming would break "
-                    "trajectory determinism"
-                )
-        for knob, value in (
-            ("area_budget_mm2", self.objective.area_budget_mm2),
-            ("power_budget_mw", self.objective.power_budget_mw),
-        ):
-            if record.get(knob) != value:
-                raise DseError(
-                    f"checkpoint {path!r} was written with "
-                    f"{knob}={record.get(knob)!r}; this run uses "
-                    f"{value!r}"
-                )
-        if record.get("specialized") != self._specialized_fingerprint():
-            raise DseError(
-                f"checkpoint {path!r} was written against different "
-                "specialized fabrics — resuming would break trajectory "
-                "determinism"
-            )
-        history = [
-            {**entry,
-             "partition": canonical_partition(entry["partition"])}
-            for entry in record["history"]
-        ]
-        return {
-            "state": pickle.loads(
-                base64.b64decode(record["state_blob"])
-            ),
-            "iteration": record["iteration"],
-            "stale": record["stale"],
-            "best_objective": record["best_objective"],
-            "history": history,
         }
 
 

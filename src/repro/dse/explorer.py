@@ -7,8 +7,8 @@ remapping from scratch, evaluated in Figure 11 — then estimate
 performance/area/power with the analytical models), and accepts the best
 candidate whose perf^2/mm^2 objective improves on the incumbent.
 
-Candidate evaluation is embarrassingly parallel and runs across a
-``concurrent.futures.ProcessPoolExecutor`` when ``workers > 1``. Two
+Candidate evaluation is embarrassingly parallel and runs across the
+shared fork pool (:mod:`repro.utils.pool`) when ``workers > 1``. Two
 properties make ``workers=N`` bit-identical to ``workers=1``:
 
 * every candidate draws randomness from a child seed derived *by key*
@@ -17,11 +17,11 @@ properties make ``workers=N`` bit-identical to ``workers=1``:
 * acceptance ranks the gathered batch in candidate-index order with a
   strict-improvement tie-break, so completion order is irrelevant.
 
-Worker processes are created with the ``fork`` start method and inherit
-the (unpicklable, closure-carrying) kernel set from the parent; only the
-candidate ADG and warm schedules cross the process boundary. When
-``workers=1``, ``fork`` is unavailable, or the pool breaks, evaluation
-falls back to in-process serial execution of the same pure function.
+Forked workers inherit the (unpicklable, closure-carrying) kernel set
+from the parent; only the candidate ADG and warm schedules cross the
+process boundary. When ``workers=1``, ``fork`` is unavailable, or the
+pool breaks, evaluation falls back to in-process serial execution of
+the same pure function.
 
 With the default ``fidelity="multi"``, each generation runs a
 three-fidelity funnel instead of fully evaluating every mutant:
@@ -50,16 +50,9 @@ Every stage (mutate / surrogate / estimate / compile) is wrapped in
 generation can be appended to a JSONL run log.
 """
 
-import base64
-import json
 import math
-import multiprocessing
 import os
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
 from repro.adg.features import graph_feature_vector
@@ -75,6 +68,8 @@ from repro.estimation.perf_model import PerformanceModel
 from repro.estimation.power_area import default_model
 from repro.estimation.surrogate import SurrogateModel
 from repro.scheduler.repair import strip_invalid
+from repro.utils import checkpoint
+from repro.utils.pool import ForkPool
 from repro.utils.rng import DeterministicRng
 from repro.utils.telemetry import Telemetry
 
@@ -84,18 +79,16 @@ from repro.utils.telemetry import Telemetry
 DSE_FIDELITIES = ("multi", "full")
 
 
-def default_fidelity():
-    """The fidelity used when the explorer/CLI is not told one:
-    ``$REPRO_DSE_FIDELITY`` or ``multi``. Unknown values fail fast here
-    rather than silently falling back (a typo'd env var would otherwise
-    change the trajectory without a trace)."""
-    value = os.environ.get("REPRO_DSE_FIDELITY", "multi")
-    if value not in DSE_FIDELITIES:
+def resolve_fidelity(fidelity):
+    """``fidelity``, or ``multi`` when None; unknown values fail fast
+    here, before any compute is spent."""
+    fidelity = "multi" if fidelity is None else fidelity
+    if fidelity not in DSE_FIDELITIES:
         raise DseError(
-            f"REPRO_DSE_FIDELITY={value!r} is not a DSE fidelity; "
-            f"expected one of {', '.join(DSE_FIDELITIES)}"
+            f"unknown DSE fidelity {fidelity!r}; expected one of "
+            f"{', '.join(DSE_FIDELITIES)}"
         )
-    return value
+    return fidelity
 
 
 @dataclass
@@ -204,14 +197,12 @@ class CandidateOutcome:
     counters: dict = field(default_factory=dict)
 
 
-#: Module global read by pool workers; set by :meth:`run` immediately
-#: before the (fork-started) pool is created so children inherit it.
-_EVAL_CONTEXT = None
-
 #: Checkpoint-file schema version (see ``DesignSpaceExplorer.run``).
 #: v2: the state blob grew the surrogate model (training buffer and
 #: fitted weights), and the record pins the fidelity knobs.
-CHECKPOINT_VERSION = 2
+#: v3: the record also pins sched_iters, use_repair, both budgets and
+#: the kernel set.
+CHECKPOINT_VERSION = 3
 
 
 def _compile_kernels(context, adg, rng, warm_schedules=None, budget=None):
@@ -296,15 +287,12 @@ def _compile_kernels(context, adg, rng, warm_schedules=None, budget=None):
     return _finish(results)
 
 
-def _evaluate_candidate(task, context=None):
-    """Estimate + compile one candidate. Pure in (task, context).
-
-    Used directly on the serial path and as the pool target (where
-    ``context`` comes from the fork-inherited module global). All
-    framework errors are folded into a failed outcome so one bad
-    candidate never aborts its generation.
+def _evaluate_candidate(task, ctx):
+    """Estimate + compile one candidate. Pure in (task, context), so
+    the serial and pooled paths are interchangeable. All framework
+    errors are folded into a failed outcome so one bad candidate never
+    aborts its generation.
     """
-    ctx = context if context is not None else _EVAL_CONTEXT
     stage = {}
     counters = {"candidates_evaluated": 1}
     start = time.perf_counter()
@@ -352,6 +340,16 @@ def _evaluate_candidate(task, context=None):
     )
 
 
+def _worker_failed(task):
+    """A candidate whose in-process retry also died: rejected, so one
+    bad candidate never crashes the run."""
+    return CandidateOutcome(
+        index=task.index, iteration=task.iteration, ok=False,
+        reason="worker-failed",
+        counters={"candidates_evaluated": 1, "candidates_failed": 1},
+    )
+
+
 class DesignSpaceExplorer:
     """Hardware/software co-design via generational graph search."""
 
@@ -381,15 +379,8 @@ class DesignSpaceExplorer:
         self.initial_adg = initial_adg
         self.rng = rng or DeterministicRng("dse")
         self.mutator = AdgMutator(self.rng.fork("mutate"))
-        # Multi-fidelity knobs (see module docstring). fidelity=None
-        # defers to $REPRO_DSE_FIDELITY (default "multi"); bad values
-        # fail here, before any compute is spent.
-        fidelity = default_fidelity() if fidelity is None else fidelity
-        if fidelity not in DSE_FIDELITIES:
-            raise DseError(
-                f"unknown DSE fidelity {fidelity!r}; expected one of "
-                f"{', '.join(DSE_FIDELITIES)}"
-            )
+        # Multi-fidelity knobs (see module docstring).
+        fidelity = resolve_fidelity(fidelity)
         if surrogate_top is not None and int(surrogate_top) < 1:
             raise DseError("surrogate_top must be >= 1")
         if int(surrogate_widen) < 1:
@@ -422,10 +413,8 @@ class DesignSpaceExplorer:
         self.batch = batch
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         # Per-candidate wall-clock budget (seconds) for pool evaluation;
-        # None disables the watchdog. See _evaluate_batch.
+        # None disables the watchdog (see repro.utils.pool).
         self.eval_timeout = eval_timeout
-        self._pool = None
-        self._pool_workers = 1
 
     # ------------------------------------------------------------------
     def _context(self):
@@ -440,92 +429,21 @@ class DesignSpaceExplorer:
             power_budget_mw=self.objective.power_budget_mw,
         )
 
-    def _make_pool(self, workers):
-        """A fork-context pool (workers inherit the kernel closures), or
-        None when parallelism is unavailable."""
-        if workers <= 1:
-            return None
-        if "fork" not in multiprocessing.get_all_start_methods():
-            self.telemetry.incr("pool_unavailable")
-            return None
-        try:
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-        except OSError:
-            self.telemetry.incr("pool_unavailable")
-            return None
-
-    def _retry_serially(self, task, context):
-        """One in-process retry of a failed/timed-out candidate; a second
-        failure becomes a rejected candidate, never a crashed run."""
-        self.telemetry.incr("dse_worker_retries")
-        try:
-            return _evaluate_candidate(task, context)
-        except Exception:
-            return CandidateOutcome(
-                index=task.index, iteration=task.iteration, ok=False,
-                reason="worker-failed",
-                counters={"candidates_evaluated": 1,
-                          "candidates_failed": 1},
-            )
-
-    def _evaluate_batch(self, tasks, context):
-        """Evaluate tasks, returning outcomes in candidate-index order.
-
-        Pool failures degrade per candidate instead of crashing the run:
-        a future that exceeds ``eval_timeout`` or dies with the pool is
-        retried once serially in-process; if that also fails the
-        candidate is recorded as rejected. After any timeout or pool
-        breakage the pool is rebuilt (abandoned workers may still be
-        grinding on the stuck candidate).
-        """
-        pool = self._pool
-        if pool is None:
-            return [_evaluate_candidate(task, context) for task in tasks]
-        try:
-            futures = [
-                (task, pool.submit(_evaluate_candidate, task))
-                for task in tasks
-            ]
-        except Exception:
-            # submit() itself failing means the pool is already broken.
-            self.telemetry.incr("worker_errors")
-            self._rebuild_pool()
-            return [self._retry_serially(task, context) for task in tasks]
-        outcomes = []
-        rebuild = False
-        for task, future in futures:
-            try:
-                outcomes.append(future.result(timeout=self.eval_timeout))
-            except _FutureTimeout:
-                self.telemetry.incr("dse_worker_timeouts")
-                future.cancel()
-                rebuild = True
-                outcomes.append(self._retry_serially(task, context))
-            except BrokenProcessPool:
-                self.telemetry.incr("worker_errors")
-                rebuild = True
-                outcomes.append(self._retry_serially(task, context))
-            except Exception:
-                # Unpicklable payload / worker exception: the pool itself
-                # is fine, so retry in process without a rebuild.
-                self.telemetry.incr("worker_errors")
-                outcomes.append(self._retry_serially(task, context))
-        if rebuild:
-            self._rebuild_pool()
-        return outcomes
-
-    def _rebuild_pool(self):
-        """Tear down a suspect pool and start a fresh one."""
-        if self._pool is not None:
-            try:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-            self.telemetry.incr("dse_pool_rebuilds")
-        self._pool = self._make_pool(self._pool_workers)
+    def _pins(self):
+        """Settings a resumed run must share with the checkpoint's
+        writer; any difference would fork the trajectory."""
+        return {
+            "seed": repr(self.rng.seed),
+            "fidelity": self.fidelity,
+            "surrogate_top": self.surrogate_top,
+            "surrogate_widen": self.surrogate_widen,
+            "recalibrate_every": self.recalibrate_every,
+            "sched_iters": self.sched_iters,
+            "use_repair": self.use_repair,
+            "area_budget_mm2": self.objective.area_budget_mm2,
+            "power_budget_mw": self.objective.power_budget_mw,
+            "kernels": [kernel.name for kernel in self.kernels],
+        }
 
     # ------------------------------------------------------------------
     def run(self, max_iters=50, patience=None, mutations_per_step=None,
@@ -576,7 +494,9 @@ class DesignSpaceExplorer:
 
         saved = None
         if resume and checkpoint_path and os.path.exists(checkpoint_path):
-            saved = self._load_checkpoint(checkpoint_path)
+            saved = checkpoint.read(
+                checkpoint_path, CHECKPOINT_VERSION, self._pins()
+            )
 
         context = self._context()
         if saved is not None:
@@ -641,12 +561,26 @@ class DesignSpaceExplorer:
                 "batch": batch,
             })
 
-        global _EVAL_CONTEXT
-        _EVAL_CONTEXT = context
-        self._pool_workers = workers
-        self._pool = self._make_pool(workers)
+        def save(iteration):
+            checkpoint.write(checkpoint_path, {
+                "version": CHECKPOINT_VERSION,
+                **self._pins(),
+                "iteration": iteration,
+                "stale": stale,
+                "best_objective": best_score,
+                "initial_area": result.initial_area,
+                "initial_power": result.initial_power,
+                "baseline_cycles": dict(self.objective.baseline_cycles),
+                "history": [asdict(entry) for entry in result.history],
+            }, (best_adg, schedules, cycles, result.kernel_results,
+                self.surrogate))
+            telemetry.incr("dse_checkpoints_written")
+
         last_iteration = start_iteration - 1
-        try:
+        with ForkPool(
+            _evaluate_candidate, context, workers, telemetry.incr, "dse",
+            failed=_worker_failed, eval_timeout=self.eval_timeout,
+        ) as pool:
             if saved is None:
                 # Iteration 1: the paper's cleanup step — drop features
                 # no schedule uses (Figure 14's early area drop).
@@ -656,8 +590,8 @@ class DesignSpaceExplorer:
                     [s for m in schedules.values() for s in m.values()],
                 ):
                     accepted = self._run_generation(
-                        [(trimmed, ["trim"])], schedules, 1, result,
-                        best_score, context, finalists=finalists,
+                        pool, [(trimmed, ["trim"])], schedules, 1,
+                        result, best_score, finalists=finalists,
                     )
                     if accepted is not None:
                         best_adg, best_score, cycles, schedules = accepted
@@ -665,11 +599,7 @@ class DesignSpaceExplorer:
                         result.best_objective = best_score
                 last_iteration = 1
                 if checkpoint_path:
-                    self._write_checkpoint(
-                        checkpoint_path, 1, stale, result, best_score,
-                        (best_adg, schedules, cycles,
-                         result.kernel_results, self.surrogate),
-                    )
+                    save(1)
 
             for iteration in range(start_iteration, max_iters + 2):
                 if stale >= patience:
@@ -684,8 +614,8 @@ class DesignSpaceExplorer:
                     stale += 1
                 else:
                     accepted = self._run_generation(
-                        candidates, schedules, iteration, result,
-                        best_score, context, finalists=finalists,
+                        pool, candidates, schedules, iteration, result,
+                        best_score, finalists=finalists,
                     )
                     if accepted is None:
                         stale += 1
@@ -696,25 +626,10 @@ class DesignSpaceExplorer:
                         stale = 0
                 last_iteration = iteration
                 if checkpoint_path and iteration % checkpoint_every == 0:
-                    self._write_checkpoint(
-                        checkpoint_path, iteration, stale, result,
-                        best_score,
-                        (best_adg, schedules, cycles,
-                         result.kernel_results, self.surrogate),
-                    )
-        finally:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-            _EVAL_CONTEXT = None
+                    save(iteration)
 
         if checkpoint_path:
-            self._write_checkpoint(
-                checkpoint_path, last_iteration, stale, result,
-                best_score,
-                (best_adg, schedules, cycles, result.kernel_results,
-                 self.surrogate),
-            )
+            save(last_iteration)
 
         if measure_finalists and result.kernel_results:
             # Deferred import: finalist_sim pulls in the simulator stack,
@@ -769,78 +684,6 @@ class DesignSpaceExplorer:
         return result
 
     # ------------------------------------------------------------------
-    def _write_checkpoint(self, path, iteration, stale, result,
-                          best_score, state):
-        """Atomically persist the run state as JSON + a pickle blob.
-
-        History / objective / baseline stay human-readable; the ADG,
-        warm schedules, and surrogate training state ride in a base64
-        pickle blob because the JSON ADG round-trip renumbers link ids,
-        which would orphan every warm route (and the surrogate buffer
-        must round-trip bit-exactly).
-        """
-        record = {
-            "version": CHECKPOINT_VERSION,
-            "seed": repr(self.rng.seed),
-            "fidelity": self.fidelity,
-            "surrogate_top": self.surrogate_top,
-            "surrogate_widen": self.surrogate_widen,
-            "recalibrate_every": self.recalibrate_every,
-            "iteration": iteration,
-            "stale": stale,
-            "best_objective": best_score,
-            "initial_area": result.initial_area,
-            "initial_power": result.initial_power,
-            "baseline_cycles": dict(self.objective.baseline_cycles),
-            "history": [asdict(entry) for entry in result.history],
-            "state_blob": base64.b64encode(
-                pickle.dumps(state)
-            ).decode("ascii"),
-        }
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as handle:
-            json.dump(record, handle)
-        os.replace(tmp, path)
-        self.telemetry.incr("dse_checkpoints_written")
-
-    def _load_checkpoint(self, path):
-        with open(path) as handle:
-            record = json.load(handle)
-        version = record.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise DseError(
-                f"checkpoint {path!r} has version {version!r}; "
-                f"expected {CHECKPOINT_VERSION}"
-            )
-        if record.get("seed") != repr(self.rng.seed):
-            raise DseError(
-                f"checkpoint {path!r} was written with seed "
-                f"{record.get('seed')}; this run uses {self.rng.seed!r} "
-                "— resuming would break trajectory determinism"
-            )
-        for knob in ("fidelity", "surrogate_top", "surrogate_widen",
-                     "recalibrate_every"):
-            if record.get(knob) != getattr(self, knob):
-                raise DseError(
-                    f"checkpoint {path!r} was written with "
-                    f"{knob}={record.get(knob)!r}; this run uses "
-                    f"{getattr(self, knob)!r} — resuming would break "
-                    "trajectory determinism"
-                )
-        return {
-            "state": pickle.loads(
-                base64.b64decode(record["state_blob"])
-            ),
-            "iteration": record["iteration"],
-            "stale": record["stale"],
-            "best_objective": record["best_objective"],
-            "initial_area": record["initial_area"],
-            "initial_power": record["initial_power"],
-            "baseline_cycles": record["baseline_cycles"],
-            "history": record["history"],
-        }
-
-    # ------------------------------------------------------------------
     def _select_finalists(self, candidates, finalists):
         """Stages 1-2 of the multi-fidelity funnel (main process only,
         so pooling can never perturb the surrogate's training state).
@@ -886,8 +729,8 @@ class DesignSpaceExplorer:
         telemetry.incr("fidelity_finalists", len(chosen))
         return chosen, features, predictions
 
-    def _run_generation(self, candidates, warm_schedules, iteration,
-                        result, best_score, context, finalists=None):
+    def _run_generation(self, pool, candidates, warm_schedules, iteration,
+                        result, best_score, finalists=None):
         """Evaluate one generation of (adg, descriptions) candidates.
 
         With the surrogate enabled the generation is first funneled
@@ -915,7 +758,7 @@ class DesignSpaceExplorer:
             for idx, src in enumerate(chosen)
         ]
         with telemetry.timer("evaluate"):
-            outcomes = self._evaluate_batch(tasks, context)
+            outcomes = pool.map(tasks)
         winner = None
         winner_score = best_score
         scores = []

@@ -5,8 +5,9 @@ A campaign sweeps fault count and kind over a set of workloads: case
 pick, fault draw, repair randomness), so any case replays standalone
 from its serialized spec. Per-workload baselines (healthy compile +
 simulated cycles) are prepared once and shared across cases; the cases
-themselves run either serially or across a fork-context worker pool that
-inherits the baselines from the parent, mirroring the DSE pool.
+themselves run either serially or across the shared fork pool
+(:mod:`repro.utils.pool`), whose workers inherit the baselines from the
+parent.
 
 Outputs: a :class:`CampaignSummary` with outcome counts and per-workload
 degradation curves (performance retained vs. faults injected, repair
@@ -15,8 +16,6 @@ vs. remap effort), every point also emitted through
 ``--telemetry-out`` JSONL log captures the whole sweep.
 """
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.errors import CompilationError
@@ -28,15 +27,12 @@ from repro.faults.degrade import (
     run_cases_batched,
 )
 from repro.sim import SIM_ENGINES
+from repro.utils.pool import ForkPool
 from repro.utils.telemetry import Telemetry
 
 #: Workloads small enough to compile + simulate in a few seconds each at
 #: the default campaign scale; the CLI accepts any registry subset.
 DEFAULT_WORKLOADS = ("mm", "md", "join")
-
-#: Module global read by pool workers; set immediately before the
-#: (fork-started) pool is created so children inherit the baselines.
-_CAMPAIGN_CONTEXT = None
 
 
 @dataclass
@@ -46,27 +42,23 @@ class _CampaignContext:
     sim_engine: str = None
 
 
-def _run_case_worker(case):
-    """Pool entry point: run one case against inherited baselines."""
-    ctx = _CAMPAIGN_CONTEXT
+def _run_cases(cases, ctx):
+    """Run one task's cases (all of one workload) against the shared
+    baselines; returns ``(outcomes, counters)``. The batched engine
+    simulates them as lanes of a single columnar batch."""
     telemetry = Telemetry()
-    outcome = run_case(
-        case, baseline=ctx.baselines.get(case.workload),
-        sched_iters=ctx.sched_iters, telemetry=telemetry,
-        sim_engine=ctx.sim_engine,
-    )
-    return outcome, dict(telemetry.counters)
-
-
-def _run_group_worker(cases):
-    """Pool entry point for the batched engine: run all cases of one
-    workload as lanes of a single columnar simulation batch."""
-    ctx = _CAMPAIGN_CONTEXT
-    telemetry = Telemetry()
-    outcomes = run_cases_batched(
-        cases, baseline=ctx.baselines.get(cases[0].workload),
-        sched_iters=ctx.sched_iters, telemetry=telemetry,
-    )
+    baseline = ctx.baselines.get(cases[0].workload)
+    if ctx.sim_engine == "batched":
+        outcomes = run_cases_batched(
+            cases, baseline=baseline, sched_iters=ctx.sched_iters,
+            telemetry=telemetry,
+        )
+    else:
+        outcomes = [
+            run_case(case, baseline=baseline, sched_iters=ctx.sched_iters,
+                     telemetry=telemetry, sim_engine=ctx.sim_engine)
+            for case in cases
+        ]
     return outcomes, dict(telemetry.counters)
 
 
@@ -145,20 +137,6 @@ def _build_curves(results):
     return curves
 
 
-def _make_pool(workers):
-    if workers <= 1:
-        return None
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    try:
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-        )
-    except OSError:
-        return None
-
-
 def run_campaign(
     workloads=DEFAULT_WORKLOADS,
     cases=25,
@@ -185,7 +163,6 @@ def run_campaign(
     pool still parallelizes across workloads); other engines run one
     case per pool task.
     """
-    global _CAMPAIGN_CONTEXT
     if sim_engine is not None and sim_engine not in SIM_ENGINES:
         raise ValueError(
             f"unknown sim engine {sim_engine!r}; one of {SIM_ENGINES}"
@@ -221,65 +198,29 @@ def run_campaign(
         for index in range(cases)
     ]
 
+    if sim_engine == "batched":
+        # One task per workload: lanes share the workload's base ADG
+        # topology, which is what the columnar engine exploits, and the
+        # fork pool still fans out across workload groups.
+        groups = {}
+        for idx, case in enumerate(specs):
+            groups.setdefault(case.workload, []).append(idx)
+        tasks = list(groups.values())
+    else:
+        tasks = [[idx] for idx in range(len(specs))]
     context = _CampaignContext(baselines=baselines,
                                sched_iters=sched_iters,
                                sim_engine=sim_engine)
-    _CAMPAIGN_CONTEXT = context
-    pool = _make_pool(workers)
-
+    with ForkPool(_run_cases, context, workers, telemetry.incr, "fault",
+                  errors="fault_worker_errors") as pool:
+        results = pool.map(
+            [[specs[idx] for idx in indices] for indices in tasks]
+        )
     outcomes = [None] * len(specs)
-    try:
-        if sim_engine == "batched":
-            # One batch per workload: lanes share the workload's base
-            # ADG topology, which is what the columnar engine exploits.
-            # The fork pool still fans out across workload groups.
-            groups = {}
-            for idx, case in enumerate(specs):
-                groups.setdefault(case.workload, []).append(idx)
-            group_items = [
-                ([specs[idx] for idx in indices], indices)
-                for indices in groups.values()
-            ]
-            if pool is not None:
-                futures = {pool.submit(_run_group_worker, group): indices
-                           for group, indices in group_items}
-                for future, indices in futures.items():
-                    try:
-                        group_outcomes, counters = future.result()
-                    except Exception:
-                        telemetry.incr("fault_worker_errors")
-                        group_outcomes, counters = _run_group_worker(
-                            [specs[idx] for idx in indices]
-                        )
-                    for idx, outcome in zip(indices, group_outcomes):
-                        outcomes[idx] = outcome
-                    telemetry.merge_counters(counters)
-            else:
-                for group, indices in group_items:
-                    group_outcomes, counters = _run_group_worker(group)
-                    for idx, outcome in zip(indices, group_outcomes):
-                        outcomes[idx] = outcome
-                    telemetry.merge_counters(counters)
-        elif pool is not None:
-            futures = {pool.submit(_run_case_worker, case): idx
-                       for idx, case in enumerate(specs)}
-            for future, idx in futures.items():
-                try:
-                    outcome, counters = future.result()
-                except Exception:
-                    telemetry.incr("fault_worker_errors")
-                    outcome, counters = _run_case_worker(specs[idx])
-                outcomes[idx] = outcome
-                telemetry.merge_counters(counters)
-        else:
-            for idx, case in enumerate(specs):
-                outcome, counters = _run_case_worker(case)
-                outcomes[idx] = outcome
-                telemetry.merge_counters(counters)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-        _CAMPAIGN_CONTEXT = None
+    for indices, (task_outcomes, counters) in zip(tasks, results):
+        for idx, outcome in zip(indices, task_outcomes):
+            outcomes[idx] = outcome
+        telemetry.merge_counters(counters)
 
     for idx, (case, outcome) in enumerate(zip(specs, outcomes)):
         summary.cases += 1

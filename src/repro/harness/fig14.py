@@ -28,8 +28,7 @@ def run(workload_sets=None, scale=0.05, dse_iters=15, sched_iters=50,
     trajectory stays seed-deterministic); ``telemetry_out`` appends the
     JSONL run log of every set's exploration. ``fidelity`` and the
     ``surrogate_*``/``recalibrate_every`` knobs select the explorer's
-    multi-fidelity funnel (fidelity=None defers to
-    ``$REPRO_DSE_FIDELITY``, default ``multi``)."""
+    multi-fidelity funnel (fidelity=None means ``multi``)."""
     workload_sets = workload_sets or DEFAULT_SETS
     rows = []
     per_set = {}

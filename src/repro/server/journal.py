@@ -45,6 +45,7 @@ import os
 import zlib
 
 from repro.errors import JournalError
+from repro.utils.atomic import atomic_write
 
 __all__ = [
     "JobJournal",
@@ -216,13 +217,9 @@ class JobJournal:
         server never compacts on its own: the full history is what
         :func:`verify_journal` audits."""
         self.close()
-        tmp_path = self.path + ".compact.tmp"
-        with open(tmp_path, "wb") as handle:
-            for record in keep_records:
-                handle.write(_frame(record))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, self.path)
+        atomic_write(
+            self.path, b"".join(_frame(record) for record in keep_records)
+        )
         self._incr("journal_compactions")
 
     def close(self):

@@ -49,13 +49,14 @@ Scheduling:
   instantly from the store when the artifact was already published),
   so ``kill -9`` never loses an acked job.
 * **Sharded resilient workers** — computed jobs dispatch to
-  ``workers`` single-process shards (forked ``ProcessPoolExecutor``s),
-  shard chosen by key digest so identical keys serialize onto the same
-  shard. The shards reuse the resilient DSE pool semantics: an
-  ``eval_timeout`` bounds each job, and a timeout or a broken pool
-  rebuilds the shard and retries the job once serially (in a thread)
-  before failing it. ``workers=0`` runs every job on one serial
-  thread — the deterministic mode tests and small deployments use.
+  ``workers`` single-process shards (fork pools from
+  :mod:`repro.utils.pool`), shard chosen by key digest so identical
+  keys serialize onto the same shard. The shards follow the shared
+  pool's resilience contract: an ``eval_timeout`` bounds each job, and
+  a timeout or a broken pool rebuilds the shard and retries the job
+  once serially (in a thread) before failing it. ``workers=0`` runs
+  every job on one serial thread — the deterministic mode tests and
+  small deployments use.
 """
 
 import asyncio
@@ -67,8 +68,7 @@ import os
 import pickle
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.server.jobs import (
     CACHEABLE_KINDS,
@@ -80,6 +80,7 @@ from repro.server.jobs import (
 )
 from repro.server.journal import JobJournal, recover_state
 from repro.server.store import ArtifactStore
+from repro.utils import pool as fork_pool
 
 __all__ = ["CompileServer", "BackgroundServer", "serve"]
 
@@ -169,15 +170,8 @@ class CompileServer:
         return max(1, self.workers)
 
     def _make_pool(self):
-        if self.workers == 0:
-            return None
-        import multiprocessing
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            return None  # no fork: fall back to the serial thread
-        return ProcessPoolExecutor(max_workers=1, mp_context=context)
+        # None (no workers, or no fork) runs jobs on the serial thread.
+        return fork_pool.create(1, self._incr) if self.workers else None
 
     async def start(self, host="127.0.0.1", port=0):
         self._loop = asyncio.get_running_loop()
@@ -218,7 +212,7 @@ class CompileServer:
                 pass
         for pool in self._pools:
             if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+                fork_pool.shutdown_quietly(pool)
         self._serial.shutdown(wait=False, cancel_futures=True)
         if self.journal is not None:
             self.journal.close()
@@ -499,9 +493,9 @@ class CompileServer:
                      seconds=out["seconds"])
 
     async def _execute_resilient(self, shard, call):
-        """Resilient DSE pool semantics: pooled attempt bounded by
-        ``eval_timeout``; timeout or pool breakage rebuilds the shard
-        and retries once serially."""
+        """The shared pool's resilience contract on the event loop:
+        pooled attempt bounded by ``eval_timeout``; timeout or pool
+        breakage rebuilds the shard and retries once serially."""
         func, *args = call
         pool = self._pools[shard]
         if pool is None:
@@ -515,7 +509,7 @@ class CompileServer:
             )
         except asyncio.TimeoutError:
             self._incr("server_job_timeouts")
-        except BrokenProcessPool:
+        except fork_pool.Broken:
             self._incr("server_pool_broken")
         self._rebuild_pool(shard)
         self._incr("server_retries_serial")
@@ -526,10 +520,7 @@ class CompileServer:
     def _rebuild_pool(self, shard):
         pool = self._pools[shard]
         if pool is not None:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
+            fork_pool.shutdown_quietly(pool)
             self._incr("server_pool_rebuilds")
         self._pools[shard] = self._make_pool()
 

@@ -14,12 +14,12 @@ keyed by the canonical string of everything the computation depends on
 * **Content addressing** — the object filename is the SHA-256 of the
   canonical key string; identical requests land on identical paths no
   matter which process computed them.
-* **Atomic writes** — objects and the index are both written to a
-  tempfile in the same directory and published with ``os.replace``, so
-  a reader (or a reopened store after ``kill -9``) never observes a
-  half-written file under the final name. The object file is published
-  *before* the index entry, so the index never references an artifact
-  that is not fully on disk.
+* **Atomic writes** — objects and the index are both published with
+  :func:`repro.utils.atomic.atomic_write` (same-directory tempfile,
+  fsync, atomic rename), so a reader (or a reopened store after
+  ``kill -9``) never observes a half-written file under the final
+  name. The object file is published *before* the index entry, so the
+  index never references an artifact that is not fully on disk.
 * **Versioned payloads** — each object starts with one JSON header line
   (magic, store version, payload format, payload size, payload SHA-256)
   followed by the pickle bytes. ``get`` verifies size and digest before
@@ -40,7 +40,8 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
+
+from repro.utils.atomic import atomic_write
 
 __all__ = ["ArtifactStore", "StoreError"]
 
@@ -55,24 +56,6 @@ class StoreError(Exception):
 class _Miss:
     def __repr__(self):
         return "<ArtifactStore.MISS>"
-
-
-def _atomic_write(path, data):
-    """Write ``data`` (bytes) to ``path`` via tempfile + ``os.replace``."""
-    directory = os.path.dirname(path)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
 
 
 class ArtifactStore:
@@ -126,7 +109,7 @@ class ArtifactStore:
         except FileNotFoundError:
             pass
         except (OSError, json.JSONDecodeError):
-            # A torn index cannot happen via os.replace, but a corrupt
+            # A torn index cannot happen via atomic_write, but a corrupt
             # file (disk fault, manual edit) must not brick the store.
             record = None
         dropped = 0
@@ -172,7 +155,7 @@ class ArtifactStore:
             "seq": self._seq,
             "entries": self._entries,
         }
-        _atomic_write(
+        atomic_write(
             self._index_path,
             json.dumps(record, separators=(",", ":")).encode(),
         )
@@ -258,7 +241,7 @@ class ArtifactStore:
         }
         data = json.dumps(header, separators=(",", ":")).encode() \
             + b"\n" + blob
-        _atomic_write(self._object_path(digest), data)
+        atomic_write(self._object_path(digest), data)
         self._seq += 1
         self._entries[digest] = {
             "size": len(blob),

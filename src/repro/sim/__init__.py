@@ -25,7 +25,6 @@ from repro.sim.machine import (
     SIM_ENGINES,
     CycleSimulator,
     SimResult,
-    default_engine,
     simulate,
 )
 
@@ -34,7 +33,6 @@ __all__ = [
     "BatchCase",
     "CycleSimulator",
     "SimResult",
-    "default_engine",
     "simulate",
     "simulate_batch",
 ]

@@ -41,8 +41,6 @@ Two replay engines share the per-cycle transition function:
   engines produce bit-identical :class:`SimResult` values.
 """
 
-import os
-
 from dataclasses import dataclass, field
 
 from repro.adg.components import Memory, SyncElement
@@ -78,25 +76,8 @@ SIM_ENGINES = ("event", "stepped", "batched")
 _HISTORY_LIMIT = 4096
 
 
-def default_engine():
-    """The replay engine used when callers pass ``engine=None``.
-
-    ``REPRO_SIM_ENGINE`` overrides the built-in default (``event``) so
-    whole harness runs can be flipped without touching call sites. An
-    unknown value fails here, at entry, rather than silently replaying
-    on a fallback engine.
-    """
-    engine = os.environ.get("REPRO_SIM_ENGINE", "event")
-    if engine not in SIM_ENGINES:
-        raise ValueError(
-            f"unknown sim engine {engine!r} from REPRO_SIM_ENGINE; "
-            f"one of {SIM_ENGINES}"
-        )
-    return engine
-
-
 def _resolve_engine(engine):
-    engine = engine or default_engine()
+    engine = engine or "event"
     if engine not in SIM_ENGINES:
         raise ValueError(
             f"unknown sim engine {engine!r}; one of {SIM_ENGINES}"

@@ -9,6 +9,7 @@ measurement path.
 """
 
 import multiprocessing
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.server.jobs import (
 )
 from repro.utils.rng import DeterministicRng
 from repro.workloads import kernel as make_kernel
+from tests import pool_fakes
 
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -171,6 +173,25 @@ class TestExplorerDeterminism:
         assert _trajectory(serial) == _trajectory(parallel)
         assert serial.best_objective == parallel.best_objective
         assert serial.best_partition == parallel.best_partition
+
+    def test_broken_pool_falls_back_and_matches_serial(
+        self, specialized, monkeypatch
+    ):
+        serial = _make_explorer(specialized, surrogate_top=2).run(
+            max_iters=2, workers=1
+        )
+        pools = pool_fakes.install(
+            monkeypatch, lambda: BrokenProcessPool("worker died")
+        )
+        explorer = _make_explorer(specialized, surrogate_top=2)
+        resilient = explorer.run(max_iters=2, workers=2)
+        counters = explorer.telemetry.counters
+        assert counters["worker_errors"] > 0
+        assert counters["compose_worker_retries"] > 0
+        assert counters["compose_pool_rebuilds"] > 0
+        assert all(pool.shut_down for pool in pools[:-1])
+        assert _trajectory(resilient) == _trajectory(serial)
+        assert resilient.best_partition == serial.best_partition
 
     def test_infeasible_budget_is_honest(self, specialized):
         explorer = _make_explorer(specialized, area_budget_mm2=1e-6)

@@ -8,6 +8,7 @@ that equality in-process and through a real ``kill -9`` of the CLI.
 
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -18,6 +19,7 @@ import pytest
 from repro.adg import topologies
 from repro.dse.explorer import CHECKPOINT_VERSION, DesignSpaceExplorer
 from repro.errors import DseError
+from repro.utils import atomic, checkpoint
 from repro.utils.rng import DeterministicRng
 from repro.workloads import kernel as make_kernel
 
@@ -26,14 +28,22 @@ DSE_ITERS = 5
 SCHED_ITERS = 15
 
 
-def _make_explorer(seed=SEED):
+def _make_explorer(seed=SEED, kernels=("mm",), **kwargs):
+    kwargs.setdefault("sched_iters", SCHED_ITERS)
     return DesignSpaceExplorer(
-        [make_kernel("mm", 0.05)],
+        [make_kernel(name, 0.05) for name in kernels],
         topologies.dse_initial(),
         rng=DeterministicRng(seed),
-        sched_iters=SCHED_ITERS,
         initial_sched_iters=SCHED_ITERS * 3,
+        **kwargs,
     )
+
+
+@pytest.fixture(scope="module")
+def written_checkpoint(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("ck") / "ck.json")
+    _make_explorer().run(max_iters=1, checkpoint_path=path)
+    return path
 
 
 def _trajectory(result):
@@ -72,7 +82,7 @@ class TestCheckpointResume:
         assert record["baseline_cycles"]
         assert record["state_blob"]
         # No stale temp file survives the atomic rename.
-        assert not os.path.exists(path + ".tmp")
+        assert os.listdir(tmp_path) == ["ck.json"]
 
     def test_resume_with_missing_checkpoint_starts_fresh(
         self, tmp_path
@@ -91,6 +101,58 @@ class TestCheckpointResume:
             _make_explorer(seed=SEED + 1).run(
                 max_iters=DSE_ITERS, checkpoint_path=path, resume=True,
             )
+
+    @pytest.mark.parametrize("field, changed", [
+        ("sched_iters", {"sched_iters": SCHED_ITERS + 1}),
+        ("use_repair", {"use_repair": False}),
+        ("area_budget_mm2", {"area_budget_mm2": 11.0}),
+        ("power_budget_mw", {"power_budget_mw": 2100.0}),
+        ("kernels", {"kernels": ("mm", "md")}),
+    ])
+    def test_resume_with_changed_setting_refuses(
+        self, written_checkpoint, field, changed
+    ):
+        with pytest.raises(DseError, match=f"with {field}="):
+            _make_explorer(**changed).run(
+                max_iters=DSE_ITERS, checkpoint_path=written_checkpoint,
+                resume=True,
+            )
+
+    def test_old_version_refused(self, written_checkpoint, tmp_path):
+        with open(written_checkpoint) as handle:
+            record = json.load(handle)
+        record["version"] = CHECKPOINT_VERSION - 1
+        path = str(tmp_path / "old.json")
+        with open(path, "w") as handle:
+            json.dump(record, handle)
+        with pytest.raises(DseError, match="version"):
+            _make_explorer().run(
+                max_iters=DSE_ITERS, checkpoint_path=path, resume=True,
+            )
+
+    def test_failed_write_keeps_previous_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "ck.json")
+        checkpoint.write(path, {"version": 1, "iteration": 1}, [1])
+        # Unpicklable state: the write fails before touching the file.
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            checkpoint.write(
+                path, {"version": 1, "iteration": 2}, lambda: None
+            )
+
+        # A failure after the tempfile exists must remove it too.
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(atomic.os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            checkpoint.write(path, {"version": 1, "iteration": 3}, [3])
+        monkeypatch.undo()
+
+        record = checkpoint.read(path, 1, {"iteration": 1})
+        assert record["state"] == [1]
+        assert os.listdir(tmp_path) == ["ck.json"]
 
     def test_resume_of_finished_run_is_idempotent(self, tmp_path):
         path = str(tmp_path / "ck.json")

@@ -15,6 +15,7 @@ from repro.adg import topologies
 from repro.dse import DesignSpaceExplorer
 from repro.dse import explorer as explorer_module
 from repro.errors import CompilationError
+from repro.utils import pool as pool_module
 from repro.utils.rng import DeterministicRng
 from repro.utils.telemetry import Telemetry
 from repro.workloads import kernel as make_kernel
@@ -164,17 +165,22 @@ class TestFailureResilience:
 
     def test_serial_fallback_when_fork_unavailable(self, monkeypatch):
         monkeypatch.setattr(
-            explorer_module.multiprocessing,
+            pool_module.multiprocessing,
             "get_all_start_methods",
             lambda: ["spawn"],
         )
         explorer = _make_explorer()
-        assert explorer._make_pool(4) is None
+        assert pool_module.create(4, explorer.telemetry.incr) is None
         assert explorer.telemetry.counters["pool_unavailable"] == 1
 
-    def test_workers_one_makes_no_pool(self):
-        explorer = _make_explorer()
-        assert explorer._make_pool(1) is None
+    def test_workers_one_makes_no_pool(self, monkeypatch):
+        created = []
+        monkeypatch.setattr(
+            pool_module, "create",
+            lambda workers, incr=None: created.append(workers),
+        )
+        _make_explorer().run(max_iters=1, workers=1, batch=2)
+        assert created == []
 
 
 class TestTelemetryIntegration:

@@ -16,6 +16,7 @@ from repro.adg import topologies
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.utils.rng import DeterministicRng
 from repro.workloads import kernel as make_kernel
+from tests import pool_fakes
 
 DSE_ITERS = 3
 SCHED_ITERS = 15
@@ -32,41 +33,9 @@ def _make_explorer(**kwargs):
     )
 
 
-class _FailingFuture:
-    def __init__(self, exc):
-        self._exc = exc
-
-    def result(self, timeout=None):
-        raise self._exc
-
-    def cancel(self):
-        return False
-
-
-class _FailingPool:
-    """A pool whose every future fails the given way."""
-
-    def __init__(self, exc_factory):
-        self._exc_factory = exc_factory
-        self.shut_down = False
-
-    def submit(self, fn, *args, **kwargs):
-        return _FailingFuture(self._exc_factory())
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        self.shut_down = True
-
-
 def _run_with_failing_pool(exc_factory, monkeypatch, **run_kwargs):
     explorer = _make_explorer()
-    pools = []
-
-    def fake_make_pool(workers):
-        pool = _FailingPool(exc_factory)
-        pools.append(pool)
-        return pool
-
-    monkeypatch.setattr(explorer, "_make_pool", fake_make_pool)
+    pools = pool_fakes.install(monkeypatch, exc_factory)
     result = explorer.run(max_iters=DSE_ITERS, workers=2, **run_kwargs)
     return explorer, result, pools
 
@@ -112,24 +81,21 @@ class TestResilientPool:
         import repro.dse.explorer as explorer_mod
 
         explorer = _make_explorer()
-        monkeypatch.setattr(
-            explorer, "_make_pool",
-            lambda workers: _FailingPool(
-                lambda: BrokenProcessPool("worker died")
-            ),
+        pool_fakes.install(
+            monkeypatch, lambda: BrokenProcessPool("worker died")
         )
 
         real_eval = explorer_mod._evaluate_candidate
         calls = {"n": 0}
 
-        def flaky_eval(task, context=None):
+        def flaky_eval(task, context):
             calls["n"] += 1
             raise RuntimeError("retry also dies")
 
         # Initial compile runs before the pool exists; only patch the
         # retry path by swapping after construction of the run via a
         # wrapper that fails only for iteration >= 2 candidates.
-        def selective_eval(task, context=None):
+        def selective_eval(task, context):
             if task.iteration >= 2:
                 return flaky_eval(task, context)
             return real_eval(task, context)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.adg import topologies
 from repro.adg.features import GRAPH_FEATURE_NAMES, graph_feature_vector
-from repro.dse import DSE_FIDELITIES, DesignSpaceExplorer, default_fidelity
+from repro.dse import DSE_FIDELITIES, DesignSpaceExplorer
 from repro.errors import DseError
 from repro.estimation.surrogate import SurrogateModel
 from repro.utils.rng import DeterministicRng
@@ -182,19 +182,6 @@ class TestSurrogateModel:
 # ---------------------------------------------------------------------------
 
 class TestFidelityValidation:
-    def test_default_fidelity_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DSE_FIDELITY", raising=False)
-        assert default_fidelity() == "multi"
-        monkeypatch.setenv("REPRO_DSE_FIDELITY", "full")
-        assert default_fidelity() == "full"
-
-    def test_env_typo_fails_fast(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DSE_FIDELITY", "mutli")
-        with pytest.raises(DseError, match="mutli"):
-            default_fidelity()
-        with pytest.raises(DseError, match="mutli"):
-            _make_explorer()
-
     def test_unknown_fidelity_rejected(self):
         with pytest.raises(DseError, match="unknown DSE fidelity"):
             _make_explorer(fidelity="turbo")

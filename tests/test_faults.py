@@ -1,6 +1,7 @@
 """Hardware fault models, degradation engine, and campaigns."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -32,6 +33,7 @@ from repro.utils.rng import DeterministicRng
 from repro.utils.telemetry import Telemetry
 
 SCHED_ITERS = 60
+_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +265,24 @@ class TestCampaign:
             ]
 
         assert outcomes() == outcomes()
+
+    @pytest.mark.skipif(not _HAS_FORK, reason="needs fork start method")
+    @pytest.mark.parametrize("sim_engine", [None, "batched"])
+    def test_workers_do_not_change_the_campaign(self, sim_engine):
+        def campaign(workers):
+            telemetry = Telemetry()
+            summary = run_campaign(
+                workloads=("md",), cases=4, seed=31, sched_iters=8,
+                workers=workers, sim_engine=sim_engine,
+                telemetry=telemetry,
+            )
+            assert "fault_worker_errors" not in telemetry.counters
+            return summary.to_dict(), [
+                (case.to_dict(), outcome.to_dict())
+                for case, outcome in summary.results
+            ]
+
+        assert campaign(2) == campaign(1)
 
     def test_campaign_writes_repro_on_miscompile(
         self, monkeypatch, tmp_path

@@ -17,7 +17,7 @@ from repro.adg import topologies
 from repro.compiler import compile_kernel
 from repro.errors import SimulationError
 from repro.harness.compile_cache import cached_compile
-from repro.sim import SIM_ENGINES, default_engine, simulate
+from repro.sim import SIM_ENGINES, simulate
 from repro.utils.rng import DeterministicRng
 from repro.workloads import kernel as make_kernel
 from repro.workloads.registry import workload_names
@@ -189,19 +189,6 @@ class TestEngineSelection:
         compiled.scope.bind_constants(memory)
         with pytest.raises(ValueError, match="unknown sim engine"):
             simulate(adg, compiled, memory, engine="warp-speed")
-
-    def test_env_override_picks_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "stepped")
-        assert default_engine() == "stepped"
-        monkeypatch.delenv("REPRO_SIM_ENGINE")
-        assert default_engine() == "event"
-
-    def test_unknown_env_engine_rejected(self, monkeypatch):
-        """Bugfix: a typo'd REPRO_SIM_ENGINE used to fall through to the
-        stepped path silently; it must fail fast naming the engines."""
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "warp-speed")
-        with pytest.raises(ValueError, match="unknown sim engine"):
-            default_engine()
 
     def test_event_engine_skips_cycles(self):
         """The point of the rewrite: on a long steady-state workload the
