@@ -10,7 +10,7 @@ prefers progress toward a legal mapping.
 
 from dataclasses import dataclass
 
-from repro.adg.components import Memory, ProcessingElement
+from repro.adg.components import Memory
 from repro.scheduler.timing import compute_timing
 
 
@@ -76,49 +76,33 @@ class ScheduleCost:
         return self.scalar() < other.scalar()
 
 
-def evaluate_schedule(schedule, routing, timing_result=None,
-                      telemetry=None):
-    """Compute the :class:`ScheduleCost` of a (partial) schedule.
+def resource_cost(schedule, pending=0):
+    """The :class:`ScheduleCost` of ``schedule`` without its timing terms
+    (violations, II, recurrence and latency stay zero), counting
+    ``pending`` more edges as routed.
 
-    Evaluation is delta-friendly: every utilization table is read in
-    place from the schedule's live counters, and each region is re-timed
-    only from the first node a mutation could have changed, so the cost
-    of a call is proportional to the resources in use plus the changed
-    suffixes — not the whole schedule. ``telemetry`` counts
-    ``sched_evaluations`` and the timing cache hit/recompute split.
+    A lower bound on the full cost of this schedule and of any schedule
+    that only adds up to ``pending`` routes to it: incompleteness falls
+    by at most one per route, and overuse and route length never fall
+    as routes are added. Every term is read in constant time from the
+    schedule's live counters, except memory slots (one entry per memory).
     """
-    if telemetry is not None:
-        telemetry.incr("sched_evaluations")
-    cost = ScheduleCost()
-    # Placement keys are vertices and route keys are edges (a Schedule
-    # invariant), so incompleteness is pure count arithmetic.
-    cost.unplaced = schedule.num_vertices() - len(schedule.placement)
-    cost.unrouted = schedule.num_edges() - len(schedule.routes)
-
-    # The live counters are read in place, never copied: this runs for
-    # every candidate of every move. Their entries are never zero or
-    # empty (the observers drop them), and every capacity is at least
-    # one, so an entry of load 1 cannot be overused.
-    adg = schedule.adg
-    # PE overuse: beyond one instruction for dedicated, beyond the
-    # instruction buffer for shared.
-    for hw_name, load in schedule._pe_load.items():
-        if load > 1:
-            hw = adg.node(hw_name)
-            capacity = hw.max_instructions if isinstance(
-                hw, ProcessingElement
-            ) else 1
-            cost.overuse_pe += max(0, load - capacity)
-
-    # Sync elements host a single DFG port per configuration.
-    port_load = schedule._port_load
-    cost.overuse_port = sum(port_load.values()) - len(port_load)
-
-    # A dedicated link carries one value per instance.
-    link_values = schedule._link_value_refs
-    cost.overuse_link = sum(map(len, link_values.values())) - len(link_values)
-
+    cost = ScheduleCost(
+        # Placement keys are vertices and route keys are edges (a
+        # Schedule invariant), so incompleteness is count arithmetic.
+        unplaced=schedule.num_vertices() - len(schedule.placement),
+        unrouted=schedule.num_edges() - len(schedule.routes) - pending,
+        # PE overuse: beyond one instruction for dedicated, beyond the
+        # instruction buffer for shared. Sync elements host a single DFG
+        # port per configuration; a dedicated link carries one value per
+        # instance.
+        overuse_pe=schedule._overuse_pe,
+        overuse_port=schedule._overuse_port,
+        overuse_link=schedule._overuse_link,
+        route_length=schedule.route_length(),
+    )
     # Memory stream slots.
+    adg = schedule.adg
     for memory_name, streams in schedule._memory_streams.items():
         if len(streams) > 1:
             memory = adg.node(memory_name)
@@ -126,7 +110,23 @@ def evaluate_schedule(schedule, routing, timing_result=None,
                 memory, Memory
             ) else 1
             cost.overuse_memory += max(0, len(streams) - slots)
+    return cost
 
+
+def evaluate_schedule(schedule, routing, timing_result=None,
+                      telemetry=None):
+    """Compute the :class:`ScheduleCost` of a (partial) schedule.
+
+    Evaluation is delta-friendly: the resource terms come from the
+    schedule's live counters (:func:`resource_cost`), and each region is
+    re-timed only from the first node a mutation could have changed, so
+    the cost of a call is proportional to the changed suffixes — not the
+    whole schedule. ``telemetry`` counts ``sched_evaluations`` and the
+    timing cache hit/recompute split.
+    """
+    if telemetry is not None:
+        telemetry.incr("sched_evaluations")
+    cost = resource_cost(schedule)
     timing = timing_result or compute_timing(
         schedule, routing, telemetry=telemetry
     )
@@ -146,5 +146,4 @@ def evaluate_schedule(schedule, routing, timing_result=None,
     cost.skew_violations = sum(
         t.skew_violations for t in timing.regions.values()
     )
-    cost.route_length = schedule.route_length()
     return cost

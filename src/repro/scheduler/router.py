@@ -6,6 +6,8 @@ adjacency once per ADG, on first use; :meth:`route` finds a cheapest
 path whose interior traverses only switches and delay FIFOs, with link
 costs inflated by current congestion so the stochastic search
 negotiates away overuse (in the spirit of PathFinder [51]).
+:meth:`tree` runs the same search from one source to every node, so
+several routes out of one source under one congestion view share it.
 """
 
 import heapq
@@ -31,8 +33,8 @@ class RoutingGraph:
         self.adg = adg
         self._links = {link.link_id: link for link in adg.links()}
         # The adjacency lists, the passable-node set and the per-source
-        # BFS hop tables only serve routing queries (``route``/``hops``/
-        # ``reachable``); they are filled on first use, and per-link path
+        # BFS hop tables only serve routing queries (``route``/``tree``/
+        # ``hops``); they are filled on first use, and per-link path
         # latencies as links are first timed, so timing-only consumers —
         # the simulator builds a RoutingGraph per replay just for
         # ``path_latency`` — pay the link dict and nothing else.
@@ -63,7 +65,7 @@ class RoutingGraph:
             )
         return self._adjacency
 
-    def route(self, src, dst, link_values=None, value=None, forbidden=None):
+    def route(self, src, dst, link_values=None, value=None):
         """Cheapest path from hardware node ``src`` to ``dst``.
 
         Returns a list of link ids, or None when unreachable. Interior
@@ -74,8 +76,7 @@ class RoutingGraph:
         already routed through them; ``value`` is the identity this route
         will carry. Links already carrying the *same* value are nearly
         free (multicast fanout reuses the wire); links carrying other
-        values are congestion-priced. ``forbidden`` is a set of node
-        names routes must avoid.
+        values are congestion-priced.
         """
         if src == dst:
             return []
@@ -86,7 +87,6 @@ class RoutingGraph:
         # does not change the order the remaining ones pop in.
         passable = self._passable_names
         link_values = link_values or {}
-        forbidden = forbidden or ()
         congestion = self.CONGESTION_COST
         heappush, heappop = heapq.heappush, heapq.heappop
         unreached = float("inf")
@@ -102,9 +102,7 @@ class RoutingGraph:
             if name == dst:
                 break
             for link_id, neighbor, base_step in adjacency[name]:
-                if (
-                    neighbor not in passable and neighbor != dst
-                ) or neighbor in forbidden:
+                if neighbor not in passable and neighbor != dst:
                     continue
                 occupants = link_values.get(link_id)
                 if not occupants:
@@ -119,6 +117,59 @@ class RoutingGraph:
                     best[neighbor] = candidate
                     parent[neighbor] = (name, link_id)
                     heappush(heap, (candidate, neighbor))
+        return self.trace((src, parent), dst)
+
+    def tree(self, src, link_values=None, value=None):
+        """The search of :meth:`route` from ``src`` run to every node:
+        ``trace(tree(src, L, v), dst) == route(src, dst, L, v)`` for any
+        ``dst``.
+
+        Same step costs, same strict-improvement relaxation and the same
+        ``(cost, name)`` pop order; only ``src`` and passable nodes are
+        expanded. Other nodes get a parent but are never pushed — a
+        route to one stops when it pops, and no later relaxation can
+        lower its cost, so its parent is already final. Returns
+        ``(src, parent)``; the result keeps no reference to
+        ``link_values``.
+        """
+        adjacency = self._neighbors()
+        passable = self._passable_names
+        link_values = link_values or {}
+        congestion = self.CONGESTION_COST
+        heappush, heappop = heapq.heappush, heapq.heappop
+        unreached = float("inf")
+        best = {src: 0.0}
+        parent = {}
+        heap = [(0.0, src)]
+        visited = set()
+        while heap:
+            cost, name = heappop(heap)
+            if name in visited:
+                continue
+            visited.add(name)
+            for link_id, neighbor, base_step in adjacency[name]:
+                occupants = link_values.get(link_id)
+                if not occupants:
+                    step = base_step
+                elif value is not None and value in occupants:
+                    step = 0.1
+                else:
+                    step = base_step + congestion * len(occupants)
+                candidate = cost + step
+                if candidate < best.get(neighbor, unreached):
+                    best[neighbor] = candidate
+                    parent[neighbor] = (name, link_id)
+                    if neighbor in passable:
+                        heappush(heap, (candidate, neighbor))
+        return src, parent
+
+    @staticmethod
+    def trace(tree, dst):
+        """The path to ``dst`` in a :meth:`tree` (or :meth:`route`) parent
+        map, as a list of link ids; None when unreachable."""
+        src, parent = tree
+        if dst == src:
+            return []
         if dst not in parent:
             return None
         path = []
@@ -149,9 +200,6 @@ class RoutingGraph:
         if isinstance(dst, DelayFifo):
             return 1
         return 0
-
-    def reachable(self, src, dst):
-        return self.route(src, dst) is not None
 
     def _bfs_hops(self, src):
         """BFS hop table from ``src`` (interior hops through switches

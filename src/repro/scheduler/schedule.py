@@ -14,12 +14,13 @@ minimizes these through the objective rather than forbidding them
 are allowed to be overutilized", Section IV-C).
 
 Utilization state (``pe_load``/``port_load``/``link_values``/
-``memory_streams``/per-PE issue cost/total route length) is maintained
+``memory_streams``/per-PE issue cost/total route length, and the PE,
+port and link overuse totals the objective charges) is maintained
 *incrementally*: ``placement``, ``routes`` and ``stream_binding`` are
 observed mappings that update live counters on every mutation, so the
-objective evaluates in time proportional to the resources actually in
-use rather than re-deriving every table per call. The from-scratch
-derivations are kept as ``_recompute_*`` oracles for property tests.
+objective reads its resource terms in constant time rather than
+re-deriving every table per call. The from-scratch derivations are kept
+as ``_recompute_*`` oracles for property tests.
 
 Timing is cached per region together with its per-node ready/finish
 times and skew/flow contributions (see :mod:`repro.scheduler.timing`).
@@ -51,6 +52,8 @@ from repro.adg.components import (
 )
 from repro.errors import SchedulingError
 from repro.ir.dfg import NodeKind
+from repro.ir.region import as_stream_list
+from repro.ir.stream import RecurrenceStream
 from repro.isa.opcodes import OPCODES
 
 #: Process-wide count of from-scratch derived-state rebuilds (wholesale
@@ -114,13 +117,15 @@ class RegionPlan:
     operand, predicate last, with ``producer_vertex`` None unless the
     producer is an instruction. ``initial_ready`` maps every node but the
     constants, which have no ready time, to 0, in topological order.
-    ``position`` maps node ids to positions, ``outputs`` maps output port
-    names to positions, and ``reduction_latency`` is the longest
-    reduction opcode latency.
+    ``position`` maps node ids to positions and ``outputs`` maps output
+    port names to positions. ``recurrence_floor`` is the longest
+    reduction opcode latency or forced recurrence, and
+    ``recurrence_sources`` holds the position of the output each
+    self-recurrence stream loops back.
     """
 
     __slots__ = ("position", "steps", "initial_ready", "outputs",
-                 "reduction_latency")
+                 "recurrence_floor", "recurrence_sources")
 
     def __init__(self, region):
         dfg = region.dfg
@@ -128,7 +133,7 @@ class RegionPlan:
         self.position = {node_id: index for index, node_id in enumerate(order)}
         self.initial_ready = {}
         self.steps = []
-        self.reduction_latency = 0
+        self.recurrence_floor = region.metadata.get("forced_recurrence", 0)
         for node_id in order:
             node = dfg.node(node_id)
             if node.kind is not NodeKind.CONST:
@@ -157,12 +162,19 @@ class RegionPlan:
                 tuple(operands),
             ))
             if node.reduction:
-                self.reduction_latency = max(
-                    self.reduction_latency, node.latency
+                self.recurrence_floor = max(
+                    self.recurrence_floor, node.latency
                 )
         self.outputs = {
             node.name: self.position[node.node_id] for node in dfg.outputs()
         }
+        self.recurrence_sources = tuple(
+            self.outputs[stream.source_port]
+            for binding in region.input_streams.values()
+            for stream in as_stream_list(binding)
+            if isinstance(stream, RecurrenceStream)
+            and stream.source_port in self.outputs
+        )
 
     def __len__(self):
         return len(self.steps)
@@ -222,6 +234,13 @@ class _ObservedDict(dict):
         return dict.__getitem__(self, key)
 
 
+def _instruction_capacity(adg, hw_name):
+    """Instructions ``hw_name`` hosts without overuse: the instruction
+    buffer of a PE, else 1 (also for a name no longer in ``adg``)."""
+    hw = adg.node(hw_name) if adg.has_node(hw_name) else None
+    return hw.max_instructions if isinstance(hw, ProcessingElement) else 1
+
+
 def _issue_cost(op_name):
     """Per-instance issue cost of one instruction on its PE: pipelined
     opcodes sustain one issue per cycle, unpipelined ones block."""
@@ -248,6 +267,12 @@ class Schedule:
         self._link_value_refs = {}  # link_id -> {value: route refcount}
         self._memory_streams = {}   # memory name -> [(region, port), ...]
         self._route_length = 0      # total links across all routes
+        # Overuse totals: instructions beyond PE capacity, ports beyond
+        # one per sync element, values beyond one per link.
+        self._overuse_pe = 0
+        self._overuse_port = 0
+        self._overuse_link = 0
+        self._pe_capacity = {}      # hw name -> instruction capacity
         # Timing-cache state (see repro.scheduler.timing): the static
         # per-region plans (shared by clones), the cached per-region
         # entries (never mutated once stored, so clones share them) and
@@ -280,6 +305,7 @@ class Schedule:
         self._pe_load.clear()
         self._port_load.clear()
         self._pe_issue_cost.clear()
+        self._overuse_pe = self._overuse_port = 0
         self._placement = _ObservedDict(
             self._vertex_placed, self._vertex_unplaced
         )
@@ -297,6 +323,7 @@ class Schedule:
         self._dirty_from.clear()
         self._link_value_refs.clear()
         self._route_length = 0
+        self._overuse_link = 0
         self._routes = _ObservedDict(self._route_added, self._route_removed)
         self._routes.update(items)
 
@@ -334,33 +361,58 @@ class Schedule:
         else:
             table.pop(key, None)
 
+    def _capacity(self, hw_name):
+        """:func:`_instruction_capacity`, cached until :meth:`rebind`."""
+        capacity = self._pe_capacity.get(hw_name)
+        if capacity is None:
+            capacity = _instruction_capacity(self.adg, hw_name)
+            self._pe_capacity[hw_name] = capacity
+        return capacity
+
     def _vertex_placed(self, vertex, hw_name):
         node = self.node_of(vertex)
         if node.kind is NodeKind.INSTR:
-            self._pe_load[hw_name] = self._pe_load.get(hw_name, 0) + 1
+            load = self._pe_load.get(hw_name, 0)
+            if load >= self._capacity(hw_name):
+                self._overuse_pe += 1
+            self._pe_load[hw_name] = load + 1
             self._pe_issue_cost[hw_name] = (
                 self._pe_issue_cost.get(hw_name, 0) + _issue_cost(node.op)
             )
         elif node.kind in (NodeKind.INPUT, NodeKind.OUTPUT):
-            self._port_load[hw_name] = self._port_load.get(hw_name, 0) + 1
+            load = self._port_load.get(hw_name, 0)
+            if load:
+                self._overuse_port += 1
+            self._port_load[hw_name] = load + 1
         self._mark_dirty(vertex.region, vertex.node_id)
 
     def _vertex_unplaced(self, vertex, hw_name):
         node = self.node_of(vertex)
         if node.kind is NodeKind.INSTR:
+            if self._pe_load.get(hw_name, 0) > self._capacity(hw_name):
+                self._overuse_pe -= 1
             self._decrement(self._pe_load, hw_name, 1)
             self._decrement(
                 self._pe_issue_cost, hw_name, _issue_cost(node.op)
             )
         elif node.kind in (NodeKind.INPUT, NodeKind.OUTPUT):
+            if self._port_load.get(hw_name, 0) > 1:
+                self._overuse_port -= 1
             self._decrement(self._port_load, hw_name, 1)
         self._mark_dirty(vertex.region, vertex.node_id)
 
     def _route_added(self, edge, links):
         value = edge.value
+        link_value_refs = self._link_value_refs
         for link_id in links:
-            refs = self._link_value_refs.setdefault(link_id, {})
-            refs[value] = refs.get(value, 0) + 1
+            refs = link_value_refs.get(link_id)
+            if refs is None:
+                link_value_refs[link_id] = {value: 1}
+            elif value in refs:
+                refs[value] += 1
+            else:
+                refs[value] = 1
+                self._overuse_link += 1  # joins an occupied link
         self._route_length += len(links)
         self._mark_dirty(edge.region, edge.dst_id)
 
@@ -368,15 +420,17 @@ class Schedule:
         value = edge.value
         for link_id in links:
             refs = self._link_value_refs.get(link_id)
-            if refs is None:
+            if refs is None or value not in refs:
                 continue
-            remaining = refs.get(value, 0) - 1
-            if remaining > 0:
+            remaining = refs[value] - 1
+            if remaining:
                 refs[value] = remaining
+                continue
+            del refs[value]
+            if refs:
+                self._overuse_link -= 1  # leaves a still-occupied link
             else:
-                refs.pop(value, None)
-                if not refs:
-                    del self._link_value_refs[link_id]
+                del self._link_value_refs[link_id]
         self._route_length -= len(links)
         self._mark_dirty(edge.region, edge.dst_id)
 
@@ -476,7 +530,10 @@ class Schedule:
         self._placement.pop(vertex, None)
         for edge in self.edges_of(vertex):
             self._routes.pop(edge, None)
-            self.input_delays.pop(edge, None)
+            if self.input_delays.pop(edge, None) is not None:
+                # The consumer's delays must be written again, even when
+                # nothing else about it changed (vertex already unplaced).
+                self._mark_dirty(edge.region, edge.dst_id)
 
     def hw_of(self, vertex):
         return self._placement.get(vertex)
@@ -502,6 +559,7 @@ class Schedule:
         self._link_value_refs.clear()
         self._memory_streams.clear()
         self._route_length = 0
+        self._overuse_pe = self._overuse_port = self._overuse_link = 0
         self._dirty_from.clear()
 
     def clone(self):
@@ -528,6 +586,10 @@ class Schedule:
             for memory, keys in self._memory_streams.items()
         }
         twin._route_length = self._route_length
+        twin._overuse_pe = self._overuse_pe
+        twin._overuse_port = self._overuse_port
+        twin._overuse_link = self._overuse_link
+        twin._pe_capacity = self._pe_capacity  # same ADG: share
         twin._timing_cache = dict(self._timing_cache)
         twin._dirty_from = dict(self._dirty_from)
         # The DFG-derived views are immutable: share them with the twin.
@@ -544,6 +606,13 @@ class Schedule:
         # Routed path latencies and component properties may differ on
         # the new hardware: every cached region timing is suspect.
         self._dirty_from.clear()
+        # So may PE capacities (and a PE may be gone, until the caller
+        # strips its placements): recount PE overuse.
+        self._pe_capacity = {}
+        self._overuse_pe = sum(
+            max(0, load - self._capacity(hw_name))
+            for hw_name, load in self._pe_load.items()
+        )
 
     # ------------------------------------------------------------------
     # Pickling (warm schedules cross the DSE worker-process boundary)
@@ -607,8 +676,10 @@ class Schedule:
     def link_values(self):
         """link_id -> set of value identities routed through it.
 
-        Returns a fresh copy: callers (the router's congestion view)
-        mutate the result while speculating.
+        Returns a fresh copy, which later mutations leave alone (the
+        scheduler's shared routing trees are built over one). The
+        router can also read ``_link_value_refs`` live: its inner dicts
+        answer the same membership and length queries as these sets.
         """
         return {
             link_id: set(refs)
@@ -634,6 +705,13 @@ class Schedule:
     def route_length(self):
         """Total number of links across all routes."""
         return self._route_length
+
+    def overuse(self):
+        """Live overuse totals: ``{"pe", "port", "link"}`` -> instructions
+        beyond PE capacity, ports beyond one per sync element, values
+        beyond one per link."""
+        return {"pe": self._overuse_pe, "port": self._overuse_port,
+                "link": self._overuse_link}
 
     # ------------------------------------------------------------------
     # Region timing cache (used by repro.scheduler.timing)
@@ -703,6 +781,18 @@ class Schedule:
 
     def _recompute_route_length(self):
         return sum(len(links) for links in self._routes.values())
+
+    def _recompute_overuse(self):
+        port_load = self._recompute_port_load()
+        link_values = self._recompute_link_values()
+        return {
+            "pe": sum(
+                max(0, load - _instruction_capacity(self.adg, hw_name))
+                for hw_name, load in self._recompute_pe_load().items()
+            ),
+            "port": sum(port_load.values()) - len(port_load),
+            "link": sum(map(len, link_values.values())) - len(link_values),
+        }
 
     # ------------------------------------------------------------------
     # Legality helpers (composition rules of Section III-B)

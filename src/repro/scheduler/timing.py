@@ -122,8 +122,8 @@ def compute_timing(schedule, routing, assign_delays=True, telemetry=None):
         if state is not None and assign_delays and not state.has_delays:
             start = 0  # the prefix's delays were never written
         if state is None or start < len(plan):
-            state = _retime_region(schedule, routing, region, plan,
-                                   state, start, assign_delays)
+            state = _retime_region(schedule, routing, plan, state, start,
+                                   assign_delays)
             schedule.store_region_timing(region.name, state)
             if telemetry is not None:
                 telemetry.incr("timing_region_recomputes")
@@ -150,9 +150,8 @@ def compute_timing(schedule, routing, assign_delays=True, telemetry=None):
     return result
 
 
-def _retime_region(schedule, routing, region, plan, cached, start,
-                   assign_delays):
-    """Time ``region`` from plan position ``start`` on, taking the
+def _retime_region(schedule, routing, plan, cached, start, assign_delays):
+    """Time the region of ``plan`` from position ``start`` on, taking the
     positions before it from ``cached`` (a :class:`_RegionState`, or None
     to time every position). Returns the new state."""
     if cached is None:
@@ -210,7 +209,7 @@ def _retime_region(schedule, routing, region, plan, cached, start,
 
     timing = RegionTiming(
         latency=max(finish, default=0),
-        recurrence_latency=_plan_recurrence_latency(region, plan, finish),
+        recurrence_latency=_plan_recurrence_latency(plan, finish),
         skew_violations=sum(skew),
         flow_violations=sum(flow),
         ready_times=ready,
@@ -237,18 +236,13 @@ def _plan_flow_violations(schedule, operands, hw):
     return violations
 
 
-def _plan_recurrence_latency(region, plan, finish):
+def _plan_recurrence_latency(plan, finish):
     """:func:`_recurrence_latency` from per-position finish times."""
-    longest = max(
-        region.metadata.get("forced_recurrence", 0), plan.reduction_latency
-    )
-    for binding in region.input_streams.values():
-        for stream in as_stream_list(binding):
-            if not isinstance(stream, RecurrenceStream):
-                continue
-            source = plan.outputs.get(stream.source_port)
-            if source is not None:
-                longest = max(longest, finish[source] + 2)
+    longest = plan.recurrence_floor
+    for source in plan.recurrence_sources:
+        loop = finish[source] + 2
+        if loop > longest:
+            longest = loop
     return longest
 
 

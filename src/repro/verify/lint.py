@@ -432,6 +432,7 @@ def _lint_counter_state(schedule, report):
          schedule._recompute_pe_issue_cost()),
         ("link-values", schedule.link_values(),
          schedule._recompute_link_values()),
+        ("overuse", schedule.overuse(), schedule._recompute_overuse()),
     )
     for name, live, oracle in pairs:
         if live != oracle:

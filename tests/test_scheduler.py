@@ -1,6 +1,8 @@
 """Tests for spatial scheduling: placement, routing, timing, repair."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.adg import Adg, topologies
 from repro.adg.components import (
@@ -122,6 +124,65 @@ class TestRoutingGraph:
         routing = RoutingGraph(adg)
         path = routing.route("in0", "pe_2_2")
         assert routing.path_latency(path) >= 1
+
+    def test_tree_to_self_and_unreachable(self):
+        adg = Adg()
+        adg.add(Switch(name="sw0"))
+        adg.add(Switch(name="sw1"))
+        routing = RoutingGraph(adg)
+        tree = routing.tree("sw0")
+        assert routing.trace(tree, "sw0") == []
+        assert routing.trace(tree, "sw1") is None
+
+
+_ROUTING = {name: RoutingGraph(topologies.PRESETS[name]())
+            for name in ("softbrain", "dse_initial")}
+
+
+def _endpoints(adg):
+    return [node.name for node in adg.pes() + adg.sync_elements()]
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    adg_name=st.sampled_from(sorted(_ROUTING)),
+    occupancy=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                 st.integers(0, 3)), max_size=120),
+    value=st.one_of(st.none(), st.integers(0, 4)),
+    salt=st.integers(0, 10 ** 6),
+)
+def test_tree_traces_equal_routes(adg_name, occupancy, value, salt):
+    """``trace(tree(s, L, v), d) == route(s, d, L, v)`` for every PE/sync
+    pair, ties included; and the reuse rule of the scheduler: once
+    another value's route that shares no link with a traced path joins
+    the congestion, a fresh ``route`` still returns that path."""
+    routing = _ROUTING[adg_name]
+    link_ids = sorted(routing._links)
+    link_values = {}
+    for index, occupant in occupancy:
+        link_values.setdefault(link_ids[index % len(link_ids)],
+                               set()).add(occupant)
+    names = _endpoints(routing.adg)
+    trees = {src: routing.tree(src, link_values, value) for src in names}
+    for src in names:
+        for dst in names:
+            assert routing.trace(trees[src], dst) == routing.route(
+                src, dst, link_values, value), (src, dst)
+    # Reuse rule, on pairs picked from the salt.
+    for step in range(6):
+        src = names[(salt + step) % len(names)]
+        dst = names[(salt // 7 + 3 * step) % len(names)]
+        other_src = names[(salt // 13 + step) % len(names)]
+        other_dst = names[(salt // 17 + 5 * step) % len(names)]
+        traced = routing.trace(trees[src], dst)
+        other = routing.route(other_src, other_dst, link_values, "other")
+        if traced is None or other is None or set(traced) & set(other):
+            continue
+        grown = {link: set(values) for link, values in link_values.items()}
+        for link in other:
+            grown.setdefault(link, set()).add("other")
+        assert routing.route(src, dst, grown, value) == traced
 
 
 class TestSchedule:

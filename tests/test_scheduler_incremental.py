@@ -1,11 +1,12 @@
 """Tests for the incremental schedule bookkeeping (PR 2).
 
 The schedule maintains utilization counters (``pe_load``/``port_load``/
-``link_values``/``memory_streams``/issue cost/route length) live under
-mutation instead of re-deriving them per objective evaluation. These
-tests pin the incremental state to the from-scratch ``_recompute_*``
-oracles under randomized mutation sequences, pin dirty-suffix re-timing
-to the from-scratch ``_time_region`` oracle, and carry the regression
+``link_values``/``memory_streams``/issue cost/route length and the PE,
+port and link overuse totals) live under mutation instead of
+re-deriving them per objective evaluation. These tests pin the
+incremental state to the from-scratch ``_recompute_*`` oracles under
+randomized mutation sequences, pin dirty-suffix re-timing to the
+from-scratch ``_time_region`` oracle, and carry the regression
 tests for the two move-operator bugs fixed in the same change
 (`_swap_instructions` reporting progress after a revert,
 `_reroute_congested` losing a route when an endpoint went unplaced).
@@ -62,6 +63,7 @@ def assert_counters_match_oracles(sched):
     assert sched.pe_issue_cost() == sched._recompute_pe_issue_cost()
     assert sched.link_values() == sched._recompute_link_values()
     assert sched.route_length() == sched._recompute_route_length()
+    assert sched.overuse() == sched._recompute_overuse()
     # memory_streams order within a memory is unspecified.
     live = {m: sorted(keys) for m, keys in sched.memory_streams().items()}
     oracle = {
@@ -185,6 +187,29 @@ class TestIncrementalCounters:
         assert loaded.pe_load() == sched.pe_load()
         assert loaded.link_values() == sched.link_values()
         assert_counters_match_oracles(loaded)
+
+    def test_rebind_recounts_pe_overuse(self):
+        adg = topologies.softbrain()
+        sched = Schedule(dot_scope(unroll=4), adg)
+        pes = [pe.name for pe in adg.pes()]
+        for vertex in sched.instruction_vertices():
+            sched.place(vertex, pes[0])  # all on one dedicated PE
+        sched.place(sched.instruction_vertices()[0], pes[1])
+        assert sched.overuse()["pe"] == len(
+            sched.instruction_vertices()) - 2
+        # The edited hardware shares the crowded PE and drops the other.
+        edited = adg.clone()
+        crowded = edited.node(pes[0])
+        crowded.resourcing = Resourcing.SHARED
+        crowded.max_instructions = 4
+        edited.remove(pes[1])
+        sched.rebind(edited)
+        assert sched.overuse() == sched._recompute_overuse()
+        assert sched.overuse()["pe"] == max(
+            0, len(sched.instruction_vertices()) - 1 - 4)
+        # Stripping the placement on the removed PE keeps them in step.
+        sched.unplace(sched.instruction_vertices()[0])
+        assert_counters_match_oracles(sched)
 
     def test_unrouted_edges_is_set_difference(self):
         adg = topologies.softbrain()
@@ -416,7 +441,7 @@ class TestDirtySuffixTiming:
                 hw_b = sched.placement.get(b)
                 if a == b or hw_a is None or hw_b is None:
                     continue
-                touched = set(sched.edges_of(a)) | set(sched.edges_of(b))
+                touched = dict.fromkeys(sched.edges_of(a) + sched.edges_of(b))
                 saved = {e: list(sched.routes[e])
                          for e in touched if e in sched.routes}
                 sched.unplace(a)
@@ -439,6 +464,7 @@ class TestDirtySuffixTiming:
                 sched.rebind(adg if second % 2 else adg.clone())
             else:
                 sched.clear()
+            assert sched.overuse() == sched._recompute_overuse()
             # Leave some mutations to accumulate before the next check,
             # so one re-time covers several dirty positions.
             if second % 3:
@@ -446,6 +472,22 @@ class TestDirtySuffixTiming:
                                              bool(second % 2))
         assert_timing_matches_oracle(sched, routing, True)
         assert_timing_matches_oracle(sched, routing, False)
+
+    def test_unplacing_an_unplaced_producer_rewrites_delays(self):
+        # Unplacing drops the delays of every edge of the vertex, placed
+        # or not; the consumer's cached timing must not hide that.
+        adg = mixed_fabric()
+        routing = RoutingGraph(adg)
+        sched = Schedule(timing_scope(), adg)
+        consumer = Vertex("loop", 2)
+        static = next(
+            name for name in sched.candidates_for(consumer)
+            if not adg.node(name).is_dynamic
+        )
+        sched.place(consumer, static)
+        assert_timing_matches_oracle(sched, routing, True)
+        sched.unplace(Vertex("loop", 0))  # never placed
+        assert_timing_matches_oracle(sched, routing, True)
 
     def test_late_mutation_retimes_only_the_suffix(self):
         adg = topologies.softbrain()

@@ -170,6 +170,13 @@ def test_route_length_drift(mapped):
     assert "state.route-length-drift" in report.codes()
 
 
+def test_overuse_counter_drift(mapped):
+    adg, schedule = _clone(mapped)
+    schedule._overuse_link += 1
+    report = lint_schedule(schedule, adg, allow_partial=True)
+    assert "state.overuse-drift" in report.codes()
+
+
 def test_check_state_false_skips_drift(mapped):
     adg, schedule = _clone(mapped)
     schedule._route_length += 7
