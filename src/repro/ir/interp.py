@@ -23,38 +23,55 @@ from repro.ir.stream import (
     RecurrenceStream,
     UpdateStream,
 )
-from repro.isa.opcodes import evaluate
+from repro.isa.opcodes import OPCODES, semantics
 
 
 def _as_stream_list(binding):
     return list(binding) if isinstance(binding, (list, tuple)) else [binding]
 
 
-def _load(memory, array, address, context):
+def _array(memory, array, context):
     try:
-        data = memory[array]
+        return memory[array]
     except KeyError:
         raise IrError(f"{context}: unknown array {array!r}") from None
+
+
+def _out_of_range(index, array, data, context):
+    return IrError(
+        f"{context}: address {index} out of range for {array!r} "
+        f"(size {len(data)})"
+    )
+
+
+def _load(memory, array, address, context):
+    data = _array(memory, array, context)
     index = int(address)
     if index < 0 or index >= len(data):
-        raise IrError(
-            f"{context}: address {index} out of range for {array!r} "
-            f"(size {len(data)})"
-        )
+        raise _out_of_range(index, array, data, context)
     return data[index]
 
 
+def _load_all(memory, array, addresses, context):
+    """``[_load(memory, array, a, context) for a in addresses]``, looking
+    the array up once (on the first address, so none means no lookup)."""
+    values = []
+    data = None
+    for address in addresses:
+        if data is None:
+            data = _array(memory, array, context)
+        index = int(address)
+        if index < 0 or index >= len(data):
+            raise _out_of_range(index, array, data, context)
+        values.append(data[index])
+    return values
+
+
 def _store(memory, array, address, value, context):
-    try:
-        data = memory[array]
-    except KeyError:
-        raise IrError(f"{context}: unknown array {array!r}") from None
+    data = _array(memory, array, context)
     index = int(address)
     if index < 0 or index >= len(data):
-        raise IrError(
-            f"{context}: address {index} out of range for {array!r} "
-            f"(size {len(data)})"
-        )
+        raise _out_of_range(index, array, data, context)
     data[index] = value
 
 
@@ -74,19 +91,14 @@ def _read_stream_values(stream, memory, recurrence_fifos, context):
     if isinstance(stream, UpdateStream):
         raise IrError(f"{context}: update streams cannot feed inputs")
     if isinstance(stream, IndirectStream):
-        index_values = [
-            _load(memory, stream.index.array, addr, context)
-            for addr in stream.index.addresses()
-        ]
-        return [
-            _load(memory, stream.array, addr, context)
-            for addr in stream.addresses(index_values)
-        ]
+        index_values = _load_all(
+            memory, stream.index.array, stream.index.addresses(), context
+        )
+        return _load_all(
+            memory, stream.array, stream.addresses(index_values), context
+        )
     if isinstance(stream, LinearStream):
-        return [
-            _load(memory, stream.array, addr, context)
-            for addr in stream.addresses()
-        ]
+        return _load_all(memory, stream.array, stream.addresses(), context)
     raise IrError(f"{context}: unknown stream type {type(stream).__name__}")
 
 
@@ -168,6 +180,9 @@ class _PortReader:
         self._index = 0
         self._cursor = 0
         self._active = None
+        # Words of a materialized (list) active segment; 0 otherwise, so
+        # pop() takes its fast path only while one has words left.
+        self._limit = 0
 
     def _activate(self, position):
         return _read_stream_values(
@@ -176,9 +191,15 @@ class _PortReader:
         )
 
     def pop(self):
+        cursor = self._cursor
+        if cursor < self._limit:
+            self._cursor = cursor + 1
+            return self._active[cursor]
         while self._index < len(self._streams):
             if self._active is None:
                 self._active = self._activate(self._index)
+                if not isinstance(self._active, _FifoReader):
+                    self._limit = len(self._active)
             source = self._active
             if isinstance(source, _FifoReader):
                 if len(source) > 0:
@@ -190,6 +211,7 @@ class _PortReader:
             self._index += 1
             self._cursor = 0
             self._active = None
+            self._limit = 0
         raise IrError(f"{self._context}: port under-run (stream exhausted)")
 
     def remaining(self):
@@ -210,40 +232,51 @@ class _PortReader:
 class _OutputRouter:
     """Routes an output port's produced words through its stream sequence
     *as they are produced*, so recurrence segments feed their FIFOs with
-    the correct (possibly interleaved) subsets of words."""
+    the correct (possibly interleaved) subsets of words.
+
+    Each segment is bound once to a ``handler(position, value)`` that
+    delivers the segment's ``position``-th word; update segments bind
+    their ``update_op`` semantics.
+    """
 
     def __init__(self, port, streams, memory, recurrence_fifos, context):
         self._port = port
         self._memory = memory
         self._context = context
-        self._segments = []  # (kind, payload, remaining)
+        self._segments = []  # (stream or None, words, handler)
         for stream in streams:
             if isinstance(stream, RecurrenceStream):
                 queue = recurrence_fifos.setdefault(
                     stream.source_port or port, _RecurrenceQueue()
                 )
-                self._segments.append(["recur", queue, stream.length])
+                self._segments.append(
+                    (None, stream.length, self._forwarder(queue))
+                )
             elif isinstance(stream, UpdateStream):
+                fn = semantics(stream.update_op)
                 if stream.paired_index:
                     # The fabric emits (address, value) pairs.
                     self._segments.append(
-                        ["paired_update", [stream, None],
-                         2 * stream.pair_count]
+                        (stream, 2 * stream.pair_count,
+                         self._paired_updater(stream.array, fn))
                     )
                 else:
                     addresses = self._indirect_addresses(stream)
                     self._segments.append(
-                        ["update", (stream, addresses), len(addresses)]
+                        (stream, len(addresses),
+                         self._updater(stream.array, addresses, fn))
                     )
             elif isinstance(stream, IndirectStream):
                 addresses = self._indirect_addresses(stream)
                 self._segments.append(
-                    ["scatter", (stream, addresses), len(addresses)]
+                    (stream, len(addresses),
+                     self._writer(stream.array, addresses))
                 )
             elif isinstance(stream, LinearStream):
                 addresses = list(stream.addresses())
                 self._segments.append(
-                    ["linear", (stream, addresses), len(addresses)]
+                    (stream, len(addresses),
+                     self._writer(stream.array, addresses))
                 )
             else:
                 raise IrError(
@@ -252,59 +285,72 @@ class _OutputRouter:
                 )
         self._segment_index = 0
         self._segment_cursor = 0
+        self._enter_segment()
 
     def _indirect_addresses(self, stream):
-        index_values = [
-            _load(self._memory, stream.index.array, addr, self._context)
-            for addr in stream.index.addresses()
-        ]
+        index_values = _load_all(
+            self._memory, stream.index.array, stream.index.addresses(),
+            self._context,
+        )
         return list(stream.addresses(index_values))
+
+    @staticmethod
+    def _forwarder(queue):
+        def forward(position, value):
+            queue.push(value)
+        return forward
+
+    def _writer(self, array, addresses):
+        memory, context = self._memory, self._context
+
+        def write(position, value):
+            _store(memory, array, addresses[position], value, context)
+        return write
+
+    def _updater(self, array, addresses, fn):
+        memory, context = self._memory, self._context
+
+        def update(position, value):
+            address = addresses[position]
+            old = _load(memory, array, address, context)
+            _store(memory, array, address, fn(old, value), context)
+        return update
+
+    def _paired_updater(self, array, fn):
+        memory, context = self._memory, self._context
+        pending = [None]
+
+        def update(position, value):
+            if position % 2 == 0:
+                pending[0] = value  # the address half of the pair
+            else:
+                address = pending[0]
+                old = _load(memory, array, address, context)
+                _store(memory, array, address, fn(old, value), context)
+        return update
+
+    def _enter_segment(self):
+        if self._segment_index < len(self._segments):
+            _stream, self._words, self._handler = (
+                self._segments[self._segment_index]
+            )
+        else:
+            self._words, self._handler = 0, None
 
     def push(self, value):
         """Deliver one produced word to the current segment."""
-        while self._segment_index < len(self._segments):
-            kind, payload, total = self._segments[self._segment_index]
-            if self._segment_cursor < total:
-                break
-            self._segment_index += 1
-            self._segment_cursor = 0
-        else:
-            raise IrError(
-                f"{self._context}: output port {self._port!r} produced "
-                "more words than its streams consume"
-            )
-        kind, payload, total = self._segments[self._segment_index]
         position = self._segment_cursor
-        self._segment_cursor += 1
-        if kind == "recur":
-            payload.push(value)
-        elif kind == "paired_update":
-            stream, pending_address = payload
-            if position % 2 == 0:
-                payload[1] = value  # the address half of the pair
-            else:
-                address = pending_address
-                old = _load(
-                    self._memory, stream.array, address, self._context
+        while position >= self._words:
+            if self._segment_index >= len(self._segments):
+                raise IrError(
+                    f"{self._context}: output port {self._port!r} produced "
+                    "more words than its streams consume"
                 )
-                _store(
-                    self._memory, stream.array, address,
-                    evaluate(stream.update_op, [old, value]), self._context,
-                )
-        elif kind == "linear" or kind == "scatter":
-            stream, addresses = payload
-            _store(
-                self._memory, stream.array, addresses[position], value,
-                self._context,
-            )
-        else:  # update
-            stream, addresses = payload
-            address = addresses[position]
-            old = _load(self._memory, stream.array, address, self._context)
-            _store(
-                self._memory, stream.array, address,
-                evaluate(stream.update_op, [old, value]), self._context,
-            )
+            self._segment_index += 1
+            self._segment_cursor = position = 0
+            self._enter_segment()
+        self._segment_cursor = position + 1
+        self._handler(position, value)
 
     def finish(self):
         """Assert every stream segment was fully fed.
@@ -315,12 +361,12 @@ class _OutputRouter:
         """
         consumed = self._segment_cursor
         for index in range(self._segment_index):
-            consumed += self._segments[index][2]
-        expected = sum(segment[2] for segment in self._segments)
+            consumed += self._segments[index][1]
+        expected = sum(segment[1] for segment in self._segments)
         if consumed != expected:
             compacting = any(
-                getattr(self._spec_of(segment), "compacting", False)
-                for segment in self._segments
+                getattr(stream, "compacting", False)
+                for stream, _words, _handler in self._segments
             )
             if not compacting or consumed > expected:
                 raise IrError(
@@ -328,22 +374,60 @@ class _OutputRouter:
                     f"{consumed} words but streams expected {expected}"
                 )
 
-    @staticmethod
-    def _spec_of(segment):
-        payload = segment[1]
-        if isinstance(payload, _RecurrenceQueue):
-            return None
-        if isinstance(payload, (tuple, list)):
-            return payload[0]
-        return payload
+
+# How a planned instruction fires (see :class:`_DfgEvaluator`).
+_PLAIN, _SELECT, _FOLD, _FOLD_TERNARY = range(4)
 
 
 class _DfgEvaluator:
-    """Evaluates DFG instances, carrying reduction state across instances."""
+    """Evaluates DFG instances, carrying reduction state across instances.
+
+    The topological order is compiled once into a slot plan: each node
+    owns one position in a value list that holds its lane list, every
+    instruction becomes ``(slot, node, ((src_slot, lane), ...),
+    predicate, fn, mode)`` with its opcode semantics bound, and every
+    output keeps its operand refs. Inputs and constants have no
+    operands, so they lead the topological order.
+    """
 
     def __init__(self, dfg):
         self.dfg = dfg
-        self.order = dfg.topological_order()
+        order = dfg.topological_order()
+        slot_of = {node_id: slot for slot, node_id in enumerate(order)}
+        self._template = [None] * len(order)
+        self._inputs = []
+        self._instrs = []
+        outputs = {}
+        for slot, node_id in enumerate(order):
+            node = dfg.node(node_id)
+            if node.kind is NodeKind.INPUT:
+                self._inputs.append((slot, node.name))
+                continue
+            if node.kind is NodeKind.CONST:
+                self._template[slot] = [node.value]
+                continue
+            refs = tuple(
+                (slot_of[ref.node_id], ref.lane) for ref in node.operands
+            )
+            if node.kind is NodeKind.OUTPUT:
+                # Output nodes sharing a port name emit in topological
+                # order, so their refs concatenate.
+                outputs[node.name] = outputs.get(node.name, ()) + refs
+                continue
+            predicate = node.predicate
+            if predicate is not None:
+                predicate = (slot_of[predicate.node_id], predicate.lane)
+            if node.reduction:
+                # A reduction supplies one operand fewer than its arity.
+                ternary = OPCODES[node.op].arity == 3
+                mode = _FOLD_TERNARY if ternary else _FOLD
+            else:
+                mode = _SELECT if node.op == "select" else _PLAIN
+            self._instrs.append(
+                (slot, node, refs, predicate, semantics(node.op), mode)
+            )
+        self.output_names = list(outputs)
+        self._outputs = list(outputs.values())
         self.state = {
             node.node_id: node.init
             for node in dfg.instructions()
@@ -355,73 +439,77 @@ class _DfgEvaluator:
         """Fire one instance.
 
         ``input_vectors`` maps input-node names to their lane lists.
-        Returns ``{output_name: [words]}`` — possibly empty lists when
-        reductions did not emit this instance.
+        Returns one word list per name of :attr:`output_names` —
+        possibly empty when reductions did not emit this instance.
         """
-        values = {}
-        emitted = {}
-        for node_id in self.order:
-            node = self.dfg.node(node_id)
-            if node.kind is NodeKind.INPUT:
-                values[node_id] = input_vectors[node.name]
-            elif node.kind is NodeKind.CONST:
-                values[node_id] = [node.value]
-            elif node.kind is NodeKind.INSTR:
-                values[node_id] = [self._eval_instr(node, values)]
-            else:  # OUTPUT
-                words = []
-                for ref in node.operands:
-                    lanes = values[ref.node_id]
-                    if ref.lane < len(lanes) and lanes[ref.lane] is not None:
-                        words.append(lanes[ref.lane])
-                emitted.setdefault(node.name, []).extend(words)
+        values = self._template[:]
+        for slot, name in self._inputs:
+            values[slot] = input_vectors[name]
+        for slot, node, refs, predicate, fn, mode in self._instrs:
+            operands = []
+            for src, lane in refs:
+                lanes = values[src]
+                operands.append(lanes[lane] if lane < len(lanes) else None)
+            predicate_ok = (
+                predicate is None
+                or bool(values[predicate[0]][predicate[1]])
+            )
+            if mode == _PLAIN:
+                result = None
+                if predicate_ok:
+                    for operand in operands:
+                        if operand is None:
+                            break
+                    else:
+                        result = fn(*operands)
+            elif mode == _SELECT:
+                pred = operands[0]
+                if not predicate_ok or pred is None:
+                    result = None
+                else:
+                    result = operands[1] if pred else operands[2]
+            else:
+                result = self._fold(node, fn, mode, operands, predicate_ok)
+            values[slot] = [result]
+        emitted = []
+        for refs in self._outputs:
+            words = []
+            for src, lane in refs:
+                lanes = values[src]
+                if lane < len(lanes) and lanes[lane] is not None:
+                    words.append(lanes[lane])
+            emitted.append(words)
         return emitted
 
-    def _eval_instr(self, node, values):
-        predicate_ok = True
-        if node.predicate is not None:
-            lanes = values[node.predicate.node_id]
-            pred = lanes[node.predicate.lane]
-            predicate_ok = bool(pred)
-        operands = []
-        for ref in node.operands:
-            lanes = values[ref.node_id]
-            operands.append(
-                lanes[ref.lane] if ref.lane < len(lanes) else None
-            )
-        if node.reduction:
-            result = self._eval_reduction(node, operands, predicate_ok)
-            return result
-        if not predicate_ok:
-            return None
-        if node.op == "select":
-            pred = operands[0]
-            if pred is None:
-                return None
-            return operands[1] if pred else operands[2]
-        if any(op is None for op in operands):
-            return None
-        return evaluate(node.op, operands)
+    def _fold(self, node, fn, mode, operands, predicate_ok):
+        """Update accumulator state; emit on schedule, else None.
 
-    def _eval_reduction(self, node, operands, predicate_ok):
-        """Update accumulator state; emit on schedule, else None."""
-        if predicate_ok and not any(op is None for op in operands):
-            # Reductions fold their (single) data operand into the state.
-            data = operands[-1] if len(operands) > 1 else operands[0]
-            self.state[node.node_id] = evaluate(
-                node.op, [self.state[node.node_id], data]
-            )
-        self.fired[node.node_id] += 1
-        if node.emit_every and self.fired[node.node_id] % node.emit_every == 0:
-            value = self.state[node.node_id]
-            self.state[node.node_id] = node.init
+        A binary opcode folds its data operand as ``fn(state, data)``; a
+        ternary one (``mac``, ``fmac``) as ``fn(*operands, state)``.
+        """
+        node_id = node.node_id
+        if predicate_ok:
+            for operand in operands:
+                if operand is None:
+                    break
+            else:
+                state = self.state[node_id]
+                if mode == _FOLD_TERNARY:
+                    self.state[node_id] = fn(operands[0], operands[1], state)
+                else:
+                    self.state[node_id] = fn(state, operands[-1], None)
+        self.fired[node_id] += 1
+        if node.emit_every and self.fired[node_id] % node.emit_every == 0:
+            value = self.state[node_id]
+            self.state[node_id] = node.init
             return value
         return None
 
     def flush(self):
         """Emit end-of-stream values for emit_every == 0 reductions.
 
-        Returns ``{output_name: [words]}`` like :meth:`run_instance`.
+        Returns ``{output_name: [words]}`` for the ports that receive
+        one.
         """
         emitted = {}
         for node in self.dfg.instructions():
@@ -562,30 +650,41 @@ def execute_region(region, memory, recurrence_fifos=None, trace=None):
             "join_pops": [],
         })
 
-    def flush_instance_output(emitted, count_instance=True):
-        if record is not None and count_instance:
+    # One sink per output port, in the evaluator's port order: the
+    # port's produced list, its router and, when tracing, the list of
+    # its per-instance word counts.
+    sinks = [
+        (produced[port].extend, routers[port].push,
+         None if record is None else record["emitted"][port].append)
+        for port in evaluator.output_names
+    ]
+
+    def flush_instance_output(emitted):
+        if record is not None:
             record["instances"] += 1
-            for port in record["emitted"]:
-                record["emitted"][port].append(len(emitted.get(port, ())))
-        for port, words in emitted.items():
-            produced[port].extend(words)
-            for value in words:
-                routers[port].push(value)
+        for words, (extend, push, count) in zip(emitted, sinks):
+            if count is not None:
+                count(len(words))
+            if words:
+                extend(words)
+                for value in words:
+                    push(value)
 
     if region.join_spec is not None:
         pop_trace = record["join_pops"] if record is not None else None
         for vector in _run_join(region, readers, pop_trace):
             flush_instance_output(evaluator.run_instance(vector))
     else:
-        total = region.instance_count()
-        input_nodes = region.dfg.inputs()
-        for _ in range(total):
-            vector = {
-                node.name: [
-                    readers[node.name].pop() for _ in range(node.lanes)
-                ]
-                for node in input_nodes
-            }
+        pipeline = [
+            (node.name, readers[node.name].pop, node.lanes)
+            for node in region.dfg.inputs()
+        ]
+        for _ in range(region.instance_count()):
+            vector = {}
+            for name, pop, lanes in pipeline:
+                vector[name] = (
+                    [pop()] if lanes == 1 else [pop() for _ in range(lanes)]
+                )
             flush_instance_output(evaluator.run_instance(vector))
 
     final = evaluator.flush()
@@ -595,7 +694,10 @@ def execute_region(region, memory, recurrence_fifos=None, trace=None):
                 record["emitted"][port][-1] += len(final.get(port, ()))
             elif final.get(port):
                 record["emitted"][port].append(len(final[port]))
-    flush_instance_output(final, count_instance=False)
+    for port, words in final.items():
+        produced[port].extend(words)
+        for value in words:
+            routers[port].push(value)
     for router in routers.values():
         router.finish()
     return produced

@@ -6,7 +6,9 @@ Each :class:`Opcode` carries the metadata every other subsystem needs:
 * the scheduler uses ``latency`` to compute operand-arrival timing;
 * the power/area model uses ``gate_cost`` (relative NAND2-equivalents for a
   64-bit implementation) when costing functional units;
-* the simulator uses ``evaluate`` to produce functional results.
+* the functional interpreter binds ``semantics`` once per instruction to
+  produce the values the simulator replays (``evaluate`` applies them
+  once).
 
 The set covers what the paper's workloads need: integer and floating-point
 arithmetic, comparisons, selection (for control-to-data conversion), and
@@ -85,77 +87,100 @@ def _clamp_int(value, bits):
     return value
 
 
+# Functional semantics, one ``fn(a=None, b=None, c=None)`` per mnemonic:
+# operands an opcode does not take default to None. Integer ops also
+# receive ``bits`` and are wrapped to it by :func:`semantics`.
+_INTEGER_OPS = {
+    "add": lambda a, b, c, bits: a + b,
+    "sub": lambda a, b, c, bits: a - b,
+    "mul": lambda a, b, c, bits: a * b,
+    "div": lambda a, b, c, bits: 0 if b == 0 else int(a / b),
+    "mod": lambda a, b, c, bits: 0 if b == 0 else a - int(a / b) * b,
+    "min": lambda a, b, c, bits: min(a, b),
+    "max": lambda a, b, c, bits: max(a, b),
+    "abs": lambda a, b, c, bits: abs(a),
+    "neg": lambda a, b, c, bits: -a,
+    "and": lambda a, b, c, bits: a & b,
+    "or": lambda a, b, c, bits: a | b,
+    "xor": lambda a, b, c, bits: a ^ b,
+    "shl": lambda a, b, c, bits: a << (b & (bits - 1)),
+    "shr": lambda a, b, c, bits: a >> (b & (bits - 1)),
+    "acc": lambda a, b, c, bits: a + b,
+    "mac": lambda a, b, c, bits: a * b + c,
+}
+
+_PLAIN_OPS = {
+    "cmp_lt": lambda a=None, b=None, c=None: int(a < b),
+    "cmp_gt": lambda a=None, b=None, c=None: int(a > b),
+    "cmp_eq": lambda a=None, b=None, c=None: int(a == b),
+    "cmp_ne": lambda a=None, b=None, c=None: int(a != b),
+    "cmp_le": lambda a=None, b=None, c=None: int(a <= b),
+    "cmp_ge": lambda a=None, b=None, c=None: int(a >= b),
+    "fadd": lambda a=None, b=None, c=None: a + b,
+    "fsub": lambda a=None, b=None, c=None: a - b,
+    "fmul": lambda a=None, b=None, c=None: a * b,
+    "fdiv": lambda a=None, b=None, c=None: math.inf if b == 0 else a / b,
+    "fmin": lambda a=None, b=None, c=None: min(a, b),
+    "fmax": lambda a=None, b=None, c=None: max(a, b),
+    "fabs": lambda a=None, b=None, c=None: abs(a),
+    "fneg": lambda a=None, b=None, c=None: -a,
+    "fsqrt": lambda a=None, b=None, c=None: (
+        math.sqrt(a) if a >= 0 else math.nan
+    ),
+    "fmac": lambda a=None, b=None, c=None: a * b + c,
+    "sigmoid": lambda a=None, b=None, c=None: 1.0 / (
+        1.0 + math.exp(-max(-60.0, min(60.0, a)))
+    ),
+    "tanh": lambda a=None, b=None, c=None: math.tanh(a),
+    "exp": lambda a=None, b=None, c=None: math.exp(max(-60.0, min(60.0, a))),
+    "fcmp_lt": lambda a=None, b=None, c=None: int(a < b),
+    "fcmp_gt": lambda a=None, b=None, c=None: int(a > b),
+    "fcmp_eq": lambda a=None, b=None, c=None: int(a == b),
+    # select(pred, if_true, if_false)
+    "select": lambda a=None, b=None, c=None: b if a else c,
+    "copy": lambda a=None, b=None, c=None: a,
+    # Three-way key compare steering stream-join reuse/pop decisions:
+    # -1 pop left, +1 pop right, 0 pop both and compute.
+    "sjoin": lambda a=None, b=None, c=None: (
+        -1 if a < b else (1 if a > b else 0)
+    ),
+}
+
+
+def _wrapped(fn, bits):
+    return lambda a=None, b=None, c=None: _clamp_int(fn(a, b, c, bits), bits)
+
+
+def semantics(op, bits=64):
+    """The functional semantics of ``op`` as ``fn(a=None, b=None, c=None)``.
+
+    Operands the opcode does not take default to None. Integer ops wrap to
+    ``bits``; floating ops use Python floats (a stand-in for IEEE 754
+    double). Raises ``KeyError`` for an opcode without semantics.
+    """
+    name = op.name if isinstance(op, Opcode) else op
+    if name in _PLAIN_OPS:
+        return _PLAIN_OPS[name]
+    if name in _INTEGER_OPS:
+        if bits == 64:
+            return _INTEGER_OPS_64[name]
+        return _wrapped(_INTEGER_OPS[name], bits)
+    raise KeyError(f"no functional semantics for opcode {name!r}")
+
+
+_INTEGER_OPS_64 = {name: _wrapped(fn, 64) for name, fn in _INTEGER_OPS.items()}
+
+
 def evaluate(op, operands, bits=64):
     """Functionally evaluate ``op`` on ``operands``.
 
-    Used by the cycle-level simulator and by tests to check compiled
-    programs against reference kernels. Integer ops wrap to ``bits``;
-    floating ops use Python floats (a stand-in for IEEE 754 double).
+    Used by tests and the fuzzer's reference executor to check compiled
+    programs against reference kernels; see :func:`semantics`.
     """
-    name = op.name if isinstance(op, Opcode) else op
     a = operands[0] if operands else None
     b = operands[1] if len(operands) > 1 else None
     c = operands[2] if len(operands) > 2 else None
-    integer_ops = {
-        "add": lambda: a + b,
-        "sub": lambda: a - b,
-        "mul": lambda: a * b,
-        "div": lambda: 0 if b == 0 else int(a / b),
-        "mod": lambda: 0 if b == 0 else a - int(a / b) * b,
-        "min": lambda: min(a, b),
-        "max": lambda: max(a, b),
-        "abs": lambda: abs(a),
-        "neg": lambda: -a,
-        "and": lambda: a & b,
-        "or": lambda: a | b,
-        "xor": lambda: a ^ b,
-        "shl": lambda: a << (b & (bits - 1)),
-        "shr": lambda: a >> (b & (bits - 1)),
-        "acc": lambda: a + b,
-        "mac": lambda: a * b + c,
-    }
-    compare_ops = {
-        "cmp_lt": lambda: int(a < b),
-        "cmp_gt": lambda: int(a > b),
-        "cmp_eq": lambda: int(a == b),
-        "cmp_ne": lambda: int(a != b),
-        "cmp_le": lambda: int(a <= b),
-        "cmp_ge": lambda: int(a >= b),
-    }
-    float_ops = {
-        "fadd": lambda: a + b,
-        "fsub": lambda: a - b,
-        "fmul": lambda: a * b,
-        "fdiv": lambda: math.inf if b == 0 else a / b,
-        "fmin": lambda: min(a, b),
-        "fmax": lambda: max(a, b),
-        "fabs": lambda: abs(a),
-        "fneg": lambda: -a,
-        "fsqrt": lambda: math.sqrt(a) if a >= 0 else math.nan,
-        "fmac": lambda: a * b + c,
-        "sigmoid": lambda: 1.0 / (1.0 + math.exp(-max(-60.0, min(60.0, a)))),
-        "tanh": lambda: math.tanh(a),
-        "exp": lambda: math.exp(max(-60.0, min(60.0, a))),
-        "fcmp_lt": lambda: int(a < b),
-        "fcmp_gt": lambda: int(a > b),
-        "fcmp_eq": lambda: int(a == b),
-    }
-    if name == "select":
-        # select(pred, if_true, if_false)
-        return b if a else c
-    if name == "copy":
-        return a
-    if name == "sjoin":
-        # Three-way key compare steering stream-join reuse/pop decisions:
-        # -1 pop left, +1 pop right, 0 pop both and compute.
-        return -1 if a < b else (1 if a > b else 0)
-    if name in integer_ops:
-        return _clamp_int(integer_ops[name](), bits)
-    if name in compare_ops:
-        return compare_ops[name]()
-    if name in float_ops:
-        return float_ops[name]()
-    raise KeyError(f"no functional semantics for opcode {name!r}")
+    return semantics(op, bits)(a, b, c)
 
 
 def _build_registry():

@@ -175,6 +175,32 @@ class TestInterpreterBasics:
         execute_region(region, mem)
         assert mem["S"] == [6, 22, 38]
 
+    @pytest.mark.parametrize("op, pairs, expected", [
+        ("mac", [(1, 2), (3, 4), (5, 6), (7, 8)], [14, 86]),
+        ("fmac", [(0.5, 4.0), (1.5, 2.0), (2.5, 2.0), (3.0, 1.0)],
+         [5.0, 8.0]),
+    ])
+    def test_ternary_reduction_folds_both_operands(self, op, pairs,
+                                                   expected):
+        # A reduction supplies one operand fewer than its arity, so a
+        # mac reduction computes state = x * y + state: two dot products
+        # of two-element rows, hand-computed (1*2 + 3*4 = 14, 5*6 + 7*8
+        # = 86; 0.5*4 + 1.5*2 = 5, 2.5*2 + 3*1 = 8).
+        dfg = Dfg("dot_mac")
+        xy = dfg.add_input("xy", lanes=2)
+        acc = dfg.add_instr(op, [(xy, 0), (xy, 1)], reduction=True,
+                            emit_every=2)
+        dfg.add_output("c", acc)
+        region = OffloadRegion(
+            "dot_mac", dfg,
+            input_streams={"xy": LinearStream("XY", length=8)},
+            output_streams={"c": write("C", 2)},
+        )
+        mem = {"XY": [v for pair in pairs for v in pair], "C": [0, 0]}
+        execute_region(region, mem)
+        assert mem["C"] == expected
+        assert [type(v) for v in mem["C"]] == [type(v) for v in expected]
+
     def test_predicated_store_filters(self):
         # Write only positive values (resparsification-style filter).
         dfg = Dfg("filter")

@@ -6,7 +6,7 @@ import pytest
 
 import repro.ir.interp as interp_mod
 from repro.errors import CompilationError
-from repro.isa.opcodes import evaluate as real_evaluate
+from repro.isa.opcodes import semantics as real_semantics
 from repro.verify import fuzz as fuzz_mod
 from repro.verify.fuzz import (
     FuzzCase,
@@ -80,13 +80,13 @@ class TestFaultInjection:
 
     @pytest.fixture()
     def broken_interpreter(self, monkeypatch):
-        def broken(op, operands, bits=64):
+        def broken(op, bits=64):
             name = op if isinstance(op, str) else op.name
             if name == "add":
-                return real_evaluate("sub", operands, bits)
-            return real_evaluate(op, operands, bits)
+                return real_semantics("sub", bits)
+            return real_semantics(op, bits)
 
-        monkeypatch.setattr(interp_mod, "evaluate", broken)
+        monkeypatch.setattr(interp_mod, "semantics", broken)
 
     def test_divergence_found_shrunk_and_replayable(
         self, broken_interpreter, tmp_path, monkeypatch
@@ -116,7 +116,7 @@ class TestFaultInjection:
         # Still failing on replay while the fault is in place...
         assert replay_repro(str(path)).failed
         # ...and clean once the fault is removed.
-        monkeypatch.setattr(interp_mod, "evaluate", real_evaluate)
+        monkeypatch.setattr(interp_mod, "semantics", real_semantics)
         assert replay_repro(str(path)).status == "ok"
 
     def test_campaign_writes_repro_files(
