@@ -5,6 +5,7 @@ scheduler places dataflow onto it, the estimator costs it, the DSE mutates
 it, and the hardware generator emits RTL from it.
 """
 
+import copy
 from dataclasses import dataclass
 
 from repro.adg.components import (
@@ -229,10 +230,26 @@ class Adg:
     # Whole-graph operations
     # ------------------------------------------------------------------
     def clone(self):
-        """Deep copy of the entire graph (used per DSE candidate)."""
-        import copy
+        """Independent copy of the entire graph (used per DSE candidate).
 
-        return copy.deepcopy(self)
+        Structural rather than a deep copy: each component is copied
+        shallowly with a fresh ``op_names`` set, its only mutable field;
+        the frozen :class:`Link` objects are shared; the adjacency sets
+        and the name allocator's counters are copied. Editing either
+        graph, or a component of either, leaves the other unchanged.
+        """
+        twin = Adg(self.name)
+        for name, component in self._nodes.items():
+            duplicate = copy.copy(component)
+            if isinstance(component, ProcessingElement):
+                duplicate.op_names = set(component.op_names)
+            twin._nodes[name] = duplicate
+        twin._links = dict(self._links)
+        twin._out = {name: set(ids) for name, ids in self._out.items()}
+        twin._in = {name: set(ids) for name, ids in self._in.items()}
+        twin._ids = self._ids.copy()
+        twin._next_link_id = self._next_link_id
+        return twin
 
     def stats(self):
         """Summary counts used in logs and reports."""

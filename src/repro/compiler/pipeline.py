@@ -161,13 +161,3 @@ def compile_kernel(
                 f"{result.verify_report.describe()}"
             )
     return result
-
-
-def compile_suite(kernels, adg, rng=None, max_iters=200):
-    """Compile a set of kernels for one ADG; returns ``{name: result}``."""
-    return {
-        kernel.name: compile_kernel(
-            kernel, adg, rng=rng, max_iters=max_iters
-        )
-        for kernel in kernels
-    }

@@ -39,21 +39,6 @@ def gather_stream(array, index, use_indirect=True, index_scale=1,
     return stream
 
 
-def scatter_stream(array, index, use_indirect=True, index_scale=1,
-                   index_offset=0, word_bytes=8):
-    """A write of ``array[index[i]] = v``."""
-    stream = IndirectStream(
-        array,
-        direction=StreamDirection.WRITE,
-        index=index,
-        index_scale=index_scale,
-        index_offset=index_offset,
-        word_bytes=word_bytes,
-    )
-    stream.scalarized = not use_indirect
-    return stream
-
-
 def update_stream(array, index, op="add", use_atomic=True, index_scale=1,
                   index_offset=0, word_bytes=8):
     """An atomic ``array[index[i]] op= v`` update.

@@ -77,15 +77,3 @@ def accumulator(dfg, op, value, out_name=None, emit_every=0, init=0):
     if out_name:
         dfg.add_output(out_name, node)
     return node
-
-
-def partial_accumulators(dfg, op, value_by_chain, emit_every=0, init=0):
-    """One accumulator per chain (the ``partial_sums`` mitigation for
-    floating-point reduction latency, Section V-B): returns the node
-    list; the caller combines the emitted partials (usually on the
-    control core or a final combine region)."""
-    return [
-        dfg.add_instr(op, [value], reduction=True,
-                      emit_every=emit_every, init=init)
-        for value in value_by_chain
-    ]

@@ -125,24 +125,6 @@ def generate_config_paths(adg, num_paths, max_rounds=200):
     return paths
 
 
-def _walk_cluster(adjacency, seed, cluster):
-    """Greedy walk visiting every cluster node, starting from the seed's
-    nearest cluster node; connecting hops may pass through any node."""
-    remaining = set(cluster)
-    walk = []
-    position = seed
-    while remaining:
-        hop = _bfs_path(adjacency, position, remaining)
-        if hop is None:
-            raise HwGenError(
-                f"cannot extend configuration walk from {position!r}"
-            )
-        walk.extend(hop)
-        position = walk[-1] if walk else seed
-        remaining.discard(position)
-    return walk
-
-
 def _improve_once(adjacency, seed, paths):
     """Cut exclusively-covered nodes off the longest walk's tail and
     splice them into the walk that absorbs them most cheaply; keep the

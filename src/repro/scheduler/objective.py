@@ -10,7 +10,6 @@ prefers progress toward a legal mapping.
 
 from dataclasses import dataclass
 
-from repro.adg.components import Memory
 from repro.scheduler.timing import compute_timing
 
 
@@ -85,9 +84,9 @@ def resource_cost(schedule, pending=0):
     that only adds up to ``pending`` routes to it: incompleteness falls
     by at most one per route, and overuse and route length never fall
     as routes are added. Every term is read in constant time from the
-    schedule's live counters, except memory slots (one entry per memory).
+    schedule's live counters.
     """
-    cost = ScheduleCost(
+    return ScheduleCost(
         # Placement keys are vertices and route keys are edges (a
         # Schedule invariant), so incompleteness is count arithmetic.
         unplaced=schedule.num_vertices() - len(schedule.placement),
@@ -95,22 +94,13 @@ def resource_cost(schedule, pending=0):
         # PE overuse: beyond one instruction for dedicated, beyond the
         # instruction buffer for shared. Sync elements host a single DFG
         # port per configuration; a dedicated link carries one value per
-        # instance.
+        # instance; a memory serves as many streams as it has slots.
         overuse_pe=schedule._overuse_pe,
         overuse_port=schedule._overuse_port,
         overuse_link=schedule._overuse_link,
+        overuse_memory=schedule._overuse_memory,
         route_length=schedule.route_length(),
     )
-    # Memory stream slots.
-    adg = schedule.adg
-    for memory_name, streams in schedule._memory_streams.items():
-        if len(streams) > 1:
-            memory = adg.node(memory_name)
-            slots = memory.num_stream_slots if isinstance(
-                memory, Memory
-            ) else 1
-            cost.overuse_memory += max(0, len(streams) - slots)
-    return cost
 
 
 def evaluate_schedule(schedule, routing, timing_result=None,

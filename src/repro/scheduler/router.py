@@ -8,6 +8,16 @@ costs inflated by current congestion so the stochastic search
 negotiates away overuse (in the spirit of PathFinder [51]).
 :meth:`tree` runs the same search from one source to every node, so
 several routes out of one source under one congestion view share it.
+
+Congestion only raises link costs, and a value already on some link is
+the only thing that lowers one (multicast fanout). So when the routed
+value is on no link and the shortest path of the empty fabric is still
+unoccupied, that path is the answer: it keeps its cost, every other path
+costs at least its empty-fabric cost, and each node on it keeps the
+first minimal predecessor it had in the same ``(cost, name)`` pop order.
+:meth:`route` returns it from a per-graph cache without a search when
+the caller passes the value -> link-count index that proves the first
+condition, tracing it from one empty-fabric :meth:`tree` per source.
 """
 
 import heapq
@@ -41,8 +51,16 @@ class RoutingGraph:
         # node name -> [(link_id, dst, LINK_COST + hop latency)]
         self._adjacency = None
         self._passable_names = None
+        # The same entries split for route(): those into switches and
+        # delay FIFOs by source node, the rest by destination node, then
+        # by source node.
+        self._forward = None
+        self._terminal = None
         self._link_latency = {}  # link_id -> pipeline cycles it adds
         self._hop_cache = {}
+        self._free_trees = {}  # src -> tree() over the empty fabric
+        #: Routes answered from the empty-fabric cache, without a search.
+        self.fast_hits = 0
 
     def link(self, link_id):
         return self._links[link_id]
@@ -59,13 +77,24 @@ class RoutingGraph:
                 adjacency[link.src].append(
                     (link.link_id, link.dst, self.LINK_COST + latency))
             self._adjacency = adjacency
-            self._passable_names = frozenset(
+            passable = self._passable_names = frozenset(
                 name for name in adjacency
                 if isinstance(adg.node(name), (Switch, DelayFifo))
             )
+            self._forward = {}
+            self._terminal = {}
+            for name, entries in adjacency.items():
+                self._forward[name] = [
+                    entry for entry in entries if entry[1] in passable
+                ]
+                for entry in entries:
+                    if entry[1] not in passable:
+                        self._terminal.setdefault(entry[1], {}).setdefault(
+                            name, []).append(entry)
         return self._adjacency
 
-    def route(self, src, dst, link_values=None, value=None):
+    def route(self, src, dst, link_values=None, value=None,
+              value_links=None):
         """Cheapest path from hardware node ``src`` to ``dst``.
 
         Returns a list of link ids, or None when unreachable. Interior
@@ -77,15 +106,35 @@ class RoutingGraph:
         will carry. Links already carrying the *same* value are nearly
         free (multicast fanout reuses the wire); links carrying other
         values are congestion-priced.
+
+        ``value_links``, when given, maps each value identity on a link
+        of ``link_values`` to a (positive) count of such links. When
+        ``value`` is not in it and the empty-fabric path is unoccupied,
+        that path is returned without a search (see the module
+        docstring); the result is the same either way.
         """
         if src == dst:
             return []
-        adjacency = self._neighbors()
+        if value_links is not None and value not in value_links:
+            # The empty-fabric route, traced from one tree per source.
+            free = self._free_trees.get(src)
+            if free is None:
+                free = self._free_trees[src] = self.tree(src)
+            path = self.trace(free, dst)
+            if path is None or not link_values \
+                    or not any(map(link_values.get, path)):
+                self.fast_hits += 1
+                return path
+        self._neighbors()
         # Only switches and delay FIFOs forward traffic, so any other
-        # neighbour but ``dst`` is a dead end: it is never pushed. Heap
-        # order is total on (cost, name), so leaving those entries out
+        # neighbour but ``dst`` is a dead end: the search only relaxes
+        # the entries into passable nodes and those into ``dst``. Heap
+        # order is total on (cost, name), so leaving the dead ends out
         # does not change the order the remaining ones pop in.
-        passable = self._passable_names
+        forward = self._forward
+        into_dst = {}
+        if dst not in self._passable_names:
+            into_dst = self._terminal.get(dst, into_dst)
         link_values = link_values or {}
         congestion = self.CONGESTION_COST
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -101,9 +150,10 @@ class RoutingGraph:
             visited.add(name)
             if name == dst:
                 break
-            for link_id, neighbor, base_step in adjacency[name]:
-                if neighbor not in passable and neighbor != dst:
-                    continue
+            entries = forward[name]
+            if name in into_dst:
+                entries = entries + into_dst[name]
+            for link_id, neighbor, base_step in entries:
                 occupants = link_values.get(link_id)
                 if not occupants:
                     step = base_step

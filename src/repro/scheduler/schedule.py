@@ -14,23 +14,26 @@ minimizes these through the objective rather than forbidding them
 are allowed to be overutilized", Section IV-C).
 
 Utilization state (``pe_load``/``port_load``/``link_values``/
-``memory_streams``/per-PE issue cost/total route length, and the PE,
-port and link overuse totals the objective charges) is maintained
+``memory_streams``/per-PE issue cost/total route length, the value ->
+link-count index, the link-width histogram, and the PE, port, link and
+memory overuse totals the objective charges) is maintained
 *incrementally*: ``placement``, ``routes`` and ``stream_binding`` are
 observed mappings that update live counters on every mutation, so the
 objective reads its resource terms in constant time rather than
 re-deriving every table per call. The from-scratch derivations are kept
 as ``_recompute_*`` oracles for property tests.
 
-Timing is cached per region together with its per-node ready/finish
-times and skew/flow contributions (see :mod:`repro.scheduler.timing`).
+Timing is cached per region together with its per-node finish times,
+PEs and skew/flow contributions (see :mod:`repro.scheduler.timing`).
 Each region has a static :class:`RegionPlan` — its nodes in topological
-order — and a *dirty-from* position into it that the observers lower:
-placing or unplacing vertex ``v`` to the position of ``v``, adding or
-removing the route of edge ``e`` to the position of ``e.dst``, and
-``clear``/``rebind``/wholesale assignment to 0. A node's timing depends
-only on nodes before it and on the routes into it, so ``compute_timing``
-re-times a region from its dirty position on and reuses the prefix.
+order, with each node's consumers — and a set of *seed* positions the
+observers add to: placing or unplacing vertex ``v`` seeds the position
+of ``v``, adding or removing the route of edge ``e`` (or dropping its
+delay) seeds the position of ``e.dst``, and ``clear``/``rebind``/
+wholesale assignment drop the seeds, which marks every position stale.
+A node's timing depends only on its producers' finish times and PEs and
+on the routes into it, so ``compute_timing`` re-times the seeds and,
+from them, only the consumers whose producers came out changed.
 
 Invariants callers must respect (all existing callers do):
 
@@ -47,6 +50,7 @@ from dataclasses import dataclass
 
 from repro.adg.components import (
     Direction,
+    Memory,
     ProcessingElement,
     SyncElement,
 )
@@ -115,29 +119,31 @@ class RegionPlan:
     ``(vertex, is_instr, latency, operands)``; ``operands`` holds one
     ``(edge, producer_position, producer_vertex)`` per non-constant
     operand, predicate last, with ``producer_vertex`` None unless the
-    producer is an instruction. ``initial_ready`` maps every node but the
-    constants, which have no ready time, to 0, in topological order.
-    ``position`` maps node ids to positions and ``outputs`` maps output
-    port names to positions. ``recurrence_floor`` is the longest
+    producer is an instruction. ``consumers[i]`` holds the positions
+    whose operands read position ``i``. ``timed`` lists the ids of every
+    node but the constants, which have no ready time, in topological
+    order. ``position`` maps node ids to positions and ``outputs`` maps
+    output port names to positions. ``recurrence_floor`` is the longest
     reduction opcode latency or forced recurrence, and
     ``recurrence_sources`` holds the position of the output each
     self-recurrence stream loops back.
     """
 
-    __slots__ = ("position", "steps", "initial_ready", "outputs",
+    __slots__ = ("position", "steps", "consumers", "timed", "outputs",
                  "recurrence_floor", "recurrence_sources")
 
     def __init__(self, region):
         dfg = region.dfg
         order = dfg.topological_order()
         self.position = {node_id: index for index, node_id in enumerate(order)}
-        self.initial_ready = {}
+        self.timed = []
         self.steps = []
+        consumers = [set() for _ in order]
         self.recurrence_floor = region.metadata.get("forced_recurrence", 0)
         for node_id in order:
             node = dfg.node(node_id)
             if node.kind is not NodeKind.CONST:
-                self.initial_ready[node_id] = 0
+                self.timed.append(node_id)
             if node.kind in (NodeKind.CONST, NodeKind.INPUT):
                 self.steps.append(None)
                 continue
@@ -152,11 +158,13 @@ class RegionPlan:
                 source = None
                 if producer.kind is NodeKind.INSTR:
                     source = Vertex(region.name, ref.node_id)
+                producer_position = self.position[ref.node_id]
                 operands.append((
                     Edge(region.name, ref.node_id, node_id, index, ref.lane),
-                    self.position[ref.node_id],
+                    producer_position,
                     source,
                 ))
+                consumers[producer_position].add(self.position[node_id])
             self.steps.append((
                 Vertex(region.name, node_id), node.is_instr, node.latency,
                 tuple(operands),
@@ -165,6 +173,7 @@ class RegionPlan:
                 self.recurrence_floor = max(
                     self.recurrence_floor, node.latency
                 )
+        self.consumers = [tuple(sorted(found)) for found in consumers]
         self.outputs = {
             node.name: self.position[node.node_id] for node in dfg.outputs()
         }
@@ -241,6 +250,13 @@ def _instruction_capacity(adg, hw_name):
     return hw.max_instructions if isinstance(hw, ProcessingElement) else 1
 
 
+def _stream_slots(adg, memory_name):
+    """Streams ``memory_name`` hosts without overuse: the stream slots
+    of a memory, else 1 (also for a name no longer in ``adg``)."""
+    memory = adg.node(memory_name) if adg.has_node(memory_name) else None
+    return memory.num_stream_slots if isinstance(memory, Memory) else 1
+
+
 def _issue_cost(op_name):
     """Per-instance issue cost of one instruction on its PE: pipelined
     opcodes sustain one issue per cycle, unpipelined ones block."""
@@ -265,22 +281,27 @@ class Schedule:
         self._port_load = {}        # sync name -> mapped DFG port count
         self._pe_issue_cost = {}    # PE name -> summed issue cost
         self._link_value_refs = {}  # link_id -> {value: route refcount}
+        self._value_links = {}      # value -> links carrying it
+        self._link_widths = {}      # k -> links carrying k distinct values
         self._memory_streams = {}   # memory name -> [(region, port), ...]
         self._route_length = 0      # total links across all routes
         # Overuse totals: instructions beyond PE capacity, ports beyond
-        # one per sync element, values beyond one per link.
+        # one per sync element, values beyond one per link, streams
+        # beyond a memory's stream slots.
         self._overuse_pe = 0
         self._overuse_port = 0
         self._overuse_link = 0
+        self._overuse_memory = 0
         self._pe_capacity = {}      # hw name -> instruction capacity
+        self._memory_slots = {}     # memory name -> stream slots
         # Timing-cache state (see repro.scheduler.timing): the static
         # per-region plans (shared by clones), the cached per-region
         # entries (never mutated once stored, so clones share them) and
-        # the first topological position each entry is stale from.
-        # A region without a dirty-from value is stale from 0.
+        # the positions each entry must re-time. A region without a
+        # seed set is stale at every position.
         self._timing_plans = None
         self._timing_cache = {}     # region -> cached timing entry
-        self._dirty_from = {}       # region -> first stale position
+        self._timing_seeds = {}     # region -> {seed position, ...}
         self._placement = _ObservedDict(
             self._vertex_placed, self._vertex_unplaced
         )
@@ -301,7 +322,7 @@ class Schedule:
     def placement(self, mapping):
         items = dict(mapping)
         STATS["load_rebuilds"] += 1
-        self._dirty_from.clear()  # dropped entries notify no observer
+        self._timing_seeds.clear()  # dropped entries notify no observer
         self._pe_load.clear()
         self._port_load.clear()
         self._pe_issue_cost.clear()
@@ -320,8 +341,10 @@ class Schedule:
     def routes(self, mapping):
         items = {key: list(value) for key, value in dict(mapping).items()}
         STATS["load_rebuilds"] += 1
-        self._dirty_from.clear()
+        self._timing_seeds.clear()
         self._link_value_refs.clear()
+        self._value_links.clear()
+        self._link_widths.clear()
         self._route_length = 0
         self._overuse_link = 0
         self._routes = _ObservedDict(self._route_added, self._route_removed)
@@ -337,6 +360,7 @@ class Schedule:
         items = dict(mapping)
         STATS["load_rebuilds"] += 1
         self._memory_streams.clear()
+        self._overuse_memory = 0
         self._stream_binding = _ObservedDict(
             self._stream_bound, self._stream_unbound
         )
@@ -346,12 +370,10 @@ class Schedule:
     # Mutation observers
     # ------------------------------------------------------------------
     def _mark_dirty(self, region_name, node_id):
-        """Lower the region's dirty-from position to ``node_id``'s."""
-        dirty = self._dirty_from.get(region_name, 0)
-        if dirty:  # 0: nothing cached, or stale from the start already
-            position = self._timing_plans[region_name].position[node_id]
-            if position < dirty:
-                self._dirty_from[region_name] = position
+        """Seed ``node_id``'s position for the region's next re-time."""
+        seeds = self._timing_seeds.get(region_name)
+        if seeds is not None:  # None: stale everywhere already
+            seeds.add(self._timing_plans[region_name].position[node_id])
 
     @staticmethod
     def _decrement(table, key, amount):
@@ -368,6 +390,14 @@ class Schedule:
             capacity = _instruction_capacity(self.adg, hw_name)
             self._pe_capacity[hw_name] = capacity
         return capacity
+
+    def _slots(self, memory_name):
+        """:func:`_stream_slots`, cached until :meth:`rebind`."""
+        slots = self._memory_slots.get(memory_name)
+        if slots is None:
+            slots = _stream_slots(self.adg, memory_name)
+            self._memory_slots[memory_name] = slots
+        return slots
 
     def _vertex_placed(self, vertex, hw_name):
         node = self.node_of(vertex)
@@ -404,22 +434,40 @@ class Schedule:
     def _route_added(self, edge, links):
         value = edge.value
         link_value_refs = self._link_value_refs
+        widths = self._link_widths
+        joined = 0  # links the value was not on yet
         for link_id in links:
             refs = link_value_refs.get(link_id)
             if refs is None:
                 link_value_refs[link_id] = {value: 1}
+                widths[1] = widths.get(1, 0) + 1
             elif value in refs:
                 refs[value] += 1
+                continue
             else:
+                # The link widens by one value and joins the overuse.
+                width = len(refs)
                 refs[value] = 1
-                self._overuse_link += 1  # joins an occupied link
+                self._overuse_link += 1
+                if widths[width] == 1:
+                    del widths[width]
+                else:
+                    widths[width] -= 1
+                widths[width + 1] = widths.get(width + 1, 0) + 1
+            joined += 1
+        if joined:
+            value_links = self._value_links
+            value_links[value] = value_links.get(value, 0) + joined
         self._route_length += len(links)
         self._mark_dirty(edge.region, edge.dst_id)
 
     def _route_removed(self, edge, links):
         value = edge.value
+        link_value_refs = self._link_value_refs
+        widths = self._link_widths
+        left = 0  # links the value is no longer on
         for link_id in links:
-            refs = self._link_value_refs.get(link_id)
+            refs = link_value_refs.get(link_id)
             if refs is None or value not in refs:
                 continue
             remaining = refs[value] - 1
@@ -427,20 +475,34 @@ class Schedule:
                 refs[value] = remaining
                 continue
             del refs[value]
+            left += 1
+            width = len(refs) + 1  # the link narrows from this width
+            if widths[width] == 1:
+                del widths[width]
+            else:
+                widths[width] -= 1
             if refs:
+                widths[width - 1] = widths.get(width - 1, 0) + 1
                 self._overuse_link -= 1  # leaves a still-occupied link
             else:
-                del self._link_value_refs[link_id]
+                del link_value_refs[link_id]
+        if left:
+            self._decrement(self._value_links, value, left)
         self._route_length -= len(links)
         self._mark_dirty(edge.region, edge.dst_id)
 
     def _stream_bound(self, key, memory_name):
-        self._memory_streams.setdefault(memory_name, []).append(key)
+        keys = self._memory_streams.setdefault(memory_name, [])
+        keys.append(key)
+        if len(keys) > self._slots(memory_name):
+            self._overuse_memory += 1
 
     def _stream_unbound(self, key, memory_name):
         keys = self._memory_streams.get(memory_name)
         if keys is None:
             return
+        if len(keys) > self._slots(memory_name):
+            self._overuse_memory -= 1
         keys.remove(key)
         if not keys:
             del self._memory_streams[memory_name]
@@ -557,10 +619,13 @@ class Schedule:
         self._port_load.clear()
         self._pe_issue_cost.clear()
         self._link_value_refs.clear()
+        self._value_links.clear()
+        self._link_widths.clear()
         self._memory_streams.clear()
         self._route_length = 0
         self._overuse_pe = self._overuse_port = self._overuse_link = 0
-        self._dirty_from.clear()
+        self._overuse_memory = 0
+        self._timing_seeds.clear()
 
     def clone(self):
         twin = Schedule(self.scope, self.adg)
@@ -581,6 +646,8 @@ class Schedule:
             link_id: dict(refs)
             for link_id, refs in self._link_value_refs.items()
         }
+        twin._value_links = dict(self._value_links)
+        twin._link_widths = dict(self._link_widths)
         twin._memory_streams = {
             memory: list(keys)
             for memory, keys in self._memory_streams.items()
@@ -589,9 +656,14 @@ class Schedule:
         twin._overuse_pe = self._overuse_pe
         twin._overuse_port = self._overuse_port
         twin._overuse_link = self._overuse_link
+        twin._overuse_memory = self._overuse_memory
         twin._pe_capacity = self._pe_capacity  # same ADG: share
+        twin._memory_slots = self._memory_slots
         twin._timing_cache = dict(self._timing_cache)
-        twin._dirty_from = dict(self._dirty_from)
+        twin._timing_seeds = {
+            region: set(seeds)
+            for region, seeds in self._timing_seeds.items()
+        }
         # The DFG-derived views are immutable: share them with the twin.
         self.edges()
         twin._edges = self._edges
@@ -605,13 +677,19 @@ class Schedule:
         self.adg = adg
         # Routed path latencies and component properties may differ on
         # the new hardware: every cached region timing is suspect.
-        self._dirty_from.clear()
-        # So may PE capacities (and a PE may be gone, until the caller
-        # strips its placements): recount PE overuse.
+        self._timing_seeds.clear()
+        # So may PE capacities and memory stream slots (and a PE or a
+        # memory may be gone, until the caller strips what used it):
+        # recount PE and memory overuse.
         self._pe_capacity = {}
         self._overuse_pe = sum(
             max(0, load - self._capacity(hw_name))
             for hw_name, load in self._pe_load.items()
+        )
+        self._memory_slots = {}
+        self._overuse_memory = sum(
+            max(0, len(keys) - self._slots(memory_name))
+            for memory_name, keys in self._memory_streams.items()
         )
 
     # ------------------------------------------------------------------
@@ -686,6 +764,16 @@ class Schedule:
             for link_id, refs in self._link_value_refs.items()
         }
 
+    def value_links(self):
+        """value identity -> number of links carrying it. A value it
+        lacks is on no link (the router's fast path relies on this)."""
+        return dict(self._value_links)
+
+    def link_widths(self):
+        """k -> number of links carrying exactly k distinct values
+        (k >= 1); the largest k is the link initiation interval."""
+        return dict(self._link_widths)
+
     def memory_streams(self):
         """memory name -> list of (region, port) bound to it.
 
@@ -707,11 +795,12 @@ class Schedule:
         return self._route_length
 
     def overuse(self):
-        """Live overuse totals: ``{"pe", "port", "link"}`` -> instructions
-        beyond PE capacity, ports beyond one per sync element, values
-        beyond one per link."""
+        """Live overuse totals: ``{"pe", "port", "link", "memory"}`` ->
+        instructions beyond PE capacity, ports beyond one per sync
+        element, values beyond one per link, streams beyond a memory's
+        stream slots."""
         return {"pe": self._overuse_pe, "port": self._overuse_port,
-                "link": self._overuse_link}
+                "link": self._overuse_link, "memory": self._overuse_memory}
 
     # ------------------------------------------------------------------
     # Region timing cache (used by repro.scheduler.timing)
@@ -727,18 +816,18 @@ class Schedule:
         return self._timing_plans[region_name]
 
     def cached_region_timing(self, region_name):
-        """``(entry, dirty_from)``: the region's cached timing entry (None
-        when there is none) and the first topological position whose
-        timing may have changed since it was stored."""
-        entry = self._timing_cache.get(region_name)
-        if entry is None:
-            return None, 0
-        return entry, self._dirty_from.get(region_name, 0)
+        """``(entry, seeds)``: the region's cached timing entry (None when
+        there is none) and the set of positions mutated since it was
+        stored (None when every position is stale). The caller must not
+        modify the set."""
+        return (self._timing_cache.get(region_name),
+                self._timing_seeds.get(region_name))
 
     def store_region_timing(self, region_name, entry):
         """Cache ``entry`` as the region's timing for the current state."""
+        self.timing_plan(region_name)  # the observers read the plans
         self._timing_cache[region_name] = entry
-        self._dirty_from[region_name] = len(self.timing_plan(region_name))
+        self._timing_seeds[region_name] = set()
 
     # ------------------------------------------------------------------
     # From-scratch oracles (property-test ground truth for the counters)
@@ -782,6 +871,25 @@ class Schedule:
     def _recompute_route_length(self):
         return sum(len(links) for links in self._routes.values())
 
+    def _recompute_value_links(self):
+        counts = {}
+        for values in self._recompute_link_values().values():
+            for value in values:
+                counts[value] = counts.get(value, 0) + 1
+        return counts
+
+    def _recompute_link_widths(self):
+        widths = {}
+        for values in self._recompute_link_values().values():
+            widths[len(values)] = widths.get(len(values), 0) + 1
+        return widths
+
+    def _recompute_memory_overuse(self):
+        return sum(
+            max(0, len(keys) - _stream_slots(self.adg, memory_name))
+            for memory_name, keys in self._recompute_memory_streams().items()
+        )
+
     def _recompute_overuse(self):
         port_load = self._recompute_port_load()
         link_values = self._recompute_link_values()
@@ -792,6 +900,7 @@ class Schedule:
             ),
             "port": sum(port_load.values()) - len(port_load),
             "link": sum(map(len, link_values.values())) - len(link_values),
+            "memory": self._recompute_memory_overuse(),
         }
 
     # ------------------------------------------------------------------

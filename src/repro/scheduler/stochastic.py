@@ -23,7 +23,7 @@ from repro.ir.stream import (
     RecurrenceStream,
     UpdateStream,
 )
-from repro.scheduler.objective import evaluate_schedule, resource_cost
+from repro.scheduler.objective import ScheduleCost, evaluate_schedule
 from repro.scheduler.router import RoutingGraph
 from repro.scheduler.schedule import STATS as SCHEDULE_STATS
 from repro.scheduler.schedule import Schedule
@@ -36,12 +36,31 @@ def candidate_lower_bound(sched, pending):
     """A lower bound on the objective scalar of ``sched`` after up to
     ``pending`` more routes are added and its timing is computed.
 
-    It is :func:`resource_cost` put through the same ``scalar()``
-    expression as the full cost. The timing terms it leaves at zero are
-    never negative and float addition is monotone, so the bound never
-    exceeds the scalar :func:`evaluate_schedule` would return.
+    It equals ``resource_cost(sched, pending).scalar()``, read straight
+    from the live counters: the same float expression as
+    :meth:`ScheduleCost.scalar` without the timing terms, which are zero
+    there and adding 0.0 changes no float. Those terms are never
+    negative and float addition is monotone, so the bound never exceeds
+    the scalar :func:`evaluate_schedule` would return.
     """
-    return resource_cost(sched, pending).scalar()
+    return (
+        ScheduleCost.W_INCOMPLETE * (
+            sched.num_vertices() - len(sched._placement)
+            + (sched.num_edges() - len(sched._routes) - pending)
+        )
+        + ScheduleCost.W_OVERUSE * (
+            sched._overuse_pe + sched._overuse_port
+            + sched._overuse_link + sched._overuse_memory
+        )
+        + ScheduleCost.W_ROUTE * sched._route_length
+    )
+
+
+def _route_live(routing, sched, src, dst, value):
+    """:meth:`RoutingGraph.route` under the live congestion of
+    ``sched``, with its value index enabling the exact fast path."""
+    return routing.route(src, dst, sched._link_value_refs, value,
+                         sched._value_links)
 
 
 class SpatialScheduler:
@@ -100,6 +119,7 @@ class SpatialScheduler:
         """
         telemetry = self.telemetry
         rebuilds_before = SCHEDULE_STATS["load_rebuilds"]
+        fast_hits_before = self.routing.fast_hits
         sched = initial if initial is not None else Schedule(scope, self.adg)
         if initial is not None and sched.adg is not self.adg:
             sched.rebind(self.adg)
@@ -150,6 +170,9 @@ class SpatialScheduler:
         rebuilt = SCHEDULE_STATS["load_rebuilds"] - rebuilds_before
         if rebuilt:
             telemetry.incr("sched_load_rebuilds", rebuilt)
+        fast_hits = self.routing.fast_hits - fast_hits_before
+        if fast_hits:
+            telemetry.incr("sched_route_fast_hits", fast_hits)
         return best, best_cost
 
     # ------------------------------------------------------------------
@@ -401,16 +424,14 @@ class SpatialScheduler:
         # as congestion nor survive a move.
         for edge in sched.edges_of(vertex):
             sched.routes.pop(edge, None)
-        # The live congestion view: each route set below joins it.
-        link_values = sched._link_value_refs
+        # Each route set below joins the live congestion view.
         for edge in sched.edges_of(vertex):
             src_hw = sched.placement.get(edge.src)
             dst_hw = sched.placement.get(edge.dst)
             if src_hw is None or dst_hw is None:
                 continue
-            path = self.routing.route(
-                src_hw, dst_hw, link_values, edge.value
-            )
+            path = _route_live(self.routing, sched, src_hw, dst_hw,
+                               edge.value)
             if path is not None:
                 sched.set_route(edge, path)
 
@@ -524,9 +545,9 @@ class SpatialScheduler:
         self.rng.shuffle(edges)
         sched.routes.clear()
         for edge in edges:
-            path = self.routing.route(
-                sched.placement[edge.src], sched.placement[edge.dst],
-                sched._link_value_refs, edge.value,
+            path = _route_live(
+                self.routing, sched, sched.placement[edge.src],
+                sched.placement[edge.dst], edge.value,
             )
             if path is not None:
                 sched.set_route(edge, path)
@@ -550,9 +571,7 @@ class SpatialScheduler:
             # committed — popping it here would silently lose it.
             return False
         old = sched.routes.pop(edge)
-        path = self.routing.route(
-            src_hw, dst_hw, sched._link_value_refs, edge.value
-        )
+        path = _route_live(self.routing, sched, src_hw, dst_hw, edge.value)
         sched.set_route(edge, path if path is not None else old)
         return True
 
@@ -646,7 +665,6 @@ class _CandidateRouter:
         the last, shows it cannot get below ``best_scalar``."""
         sched = self.sched
         routing = self.routing
-        live = sched._link_value_refs
         routed = []
         used_links, used_values = set(), set()
         pending = len(edges)
@@ -667,9 +685,9 @@ class _CandidateRouter:
             if shared:
                 self.telemetry.incr("sched_route_tree_hits")
             elif incoming:
-                path = routing.route(other, hw_name, live, value)
+                path = _route_live(routing, sched, other, hw_name, value)
             else:
-                path = routing.route(hw_name, other, live, value)
+                path = _route_live(routing, sched, hw_name, other, value)
             if path is not None:
                 sched.set_route(edge, path)
                 routed.append(edge)

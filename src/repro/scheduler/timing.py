@@ -13,24 +13,27 @@ region this module computes:
 * execution-model flow violations (static -> dynamic without a sync
   element, dedicated -> shared).
 
-Each region is timed by walking its static
+Each region is timed over its static
 :class:`~repro.scheduler.schedule.RegionPlan` — nodes in topological
-order with their operand edges resolved once per scope. The schedule
-caches, per region, the per-node ready/finish times and skew/flow
-contributions of the last walk together with a *dirty-from* position
-that its mutation observers lower (see
+order with their operand edges and consumers resolved once per scope.
+The schedule caches, per region, the per-node finish times, PEs and
+skew/flow contributions of the last timing together with the *seed*
+positions its mutation observers recorded since (see
 :class:`repro.scheduler.schedule.Schedule`). A node's timing depends
-only on earlier nodes and on the routes into it, so a call re-times a
-region from that position on and reuses the prefix; a region nothing
-touched is served whole. The cross-region components (shared-PE
-contention, link time-multiplexing) are recomputed every call from the
-schedule's live counters, which is cheap, and merged into the cached
-per-region result without mutating it.
+only on its producers' finish times and PEs and on the routes into it,
+so a call re-times the seeds in topological order and, from each node
+whose finish time or PE came out changed, its consumers; every other
+node keeps its cached timing, and a region nothing touched is served
+whole. The cross-region components (shared-PE contention, link
+time-multiplexing) are read every call from the schedule's live
+counters, which is cheap, and merged into the cached per-region result
+without mutating it.
 
 :func:`_time_region` is the from-scratch derivation of the same result,
 kept as the oracle the property tests compare against.
 """
 
+import heapq
 from dataclasses import dataclass, field
 
 from repro.adg.components import ProcessingElement
@@ -50,7 +53,6 @@ class RegionTiming:
     recurrence_latency: int = 0    # longest dependence cycle
     skew_violations: int = 0       # delay-FIFO shortfall (cycles)
     flow_violations: int = 0       # illegal execution-model edges
-    ready_times: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -78,11 +80,10 @@ def _node_latency(node):
 
 
 class _RegionState:
-    """One region's cached timing walk: per plan position, the finish
-    time, skew and flow violations and the instruction's PE, with the
-    :class:`RegionTiming` they sum up to (its ``ready_times`` hold the
-    ready times). Never mutated once stored: clones share it, and a
-    partial re-time copies the lists."""
+    """One region's cached timing: per plan position, the finish time,
+    skew and flow violations and the instruction's PE, with the
+    :class:`RegionTiming` they sum up to. Never mutated once stored:
+    clones share it, and a re-time copies the lists."""
 
     __slots__ = ("has_delays", "finish", "skew", "flow", "pes", "timing",
                  "region_pes")
@@ -96,6 +97,17 @@ class _RegionState:
         self.timing = timing
         self.region_pes = set(pes)
 
+    def ready_times(self, plan):
+        """Node id -> ready time (finish time less latency) for every
+        node but the constants, in topological order; derived on
+        demand, for comparison with :func:`_time_region`."""
+        ready = {}
+        for node_id in plan.timed:
+            position = plan.position[node_id]
+            step = plan.steps[position]
+            ready[node_id] = self.finish[position] - step[2] if step else 0
+        return ready
+
 
 def compute_timing(schedule, routing, assign_delays=True, telemetry=None):
     """Compute :class:`TimingResult` for ``schedule``.
@@ -105,12 +117,13 @@ def compute_timing(schedule, routing, assign_delays=True, telemetry=None):
     ``assign_delays`` is set, the computed per-edge delay-FIFO settings
     are written into ``schedule.input_delays``.
 
-    Each region is re-timed only from its dirty-from position on; a
-    region with nothing dirty is served whole from the schedule's cache.
-    ``telemetry`` (a :class:`repro.utils.telemetry.Telemetry`) counts
+    Each region re-times only its seed positions and the consumers their
+    changes reach; a region with no seeds is served whole from the
+    schedule's cache. ``telemetry`` (a
+    :class:`repro.utils.telemetry.Telemetry`) counts
     ``timing_region_recomputes`` (any re-time, partial or full) vs
     ``timing_region_cache_hits``, and ``timing_nodes_retimed``, the
-    positions the re-times walked.
+    positions the re-times recomputed.
     """
     result = TimingResult()
     # Live counters, read without copying.
@@ -118,16 +131,19 @@ def compute_timing(schedule, routing, assign_delays=True, telemetry=None):
     ii_link = _link_initiation_interval(schedule)
     for region in schedule.regions():
         plan = schedule.timing_plan(region.name)
-        state, start = schedule.cached_region_timing(region.name)
-        if state is not None and assign_delays and not state.has_delays:
-            start = 0  # the prefix's delays were never written
-        if state is None or start < len(plan):
-            state = _retime_region(schedule, routing, plan, state, start,
-                                   assign_delays)
+        state, seeds = schedule.cached_region_timing(region.name)
+        # Re-time every position when nothing is cached, everything is
+        # stale, or delays are asked for and were never written.
+        if state is None or seeds is None \
+                or (assign_delays and not state.has_delays):
+            state, seeds = None, range(len(plan))
+        if state is None or seeds:
+            state, retimed = _retime_region(
+                schedule, routing, plan, state, seeds, assign_delays)
             schedule.store_region_timing(region.name, state)
             if telemetry is not None:
                 telemetry.incr("timing_region_recomputes")
-                telemetry.incr("timing_nodes_retimed", len(plan) - start)
+                telemetry.incr("timing_nodes_retimed", retimed)
         elif telemetry is not None:
             telemetry.incr("timing_region_cache_hits")
         # A region's II is bounded by the PEs *it* occupies (a once-per-
@@ -145,36 +161,49 @@ def compute_timing(schedule, routing, assign_delays=True, telemetry=None):
         result.regions[region.name] = RegionTiming(
             base.latency, max(base.ii, region_ii, ii_link),
             base.recurrence_latency, base.skew_violations,
-            base.flow_violations, base.ready_times,
+            base.flow_violations,
         )
     return result
 
 
-def _retime_region(schedule, routing, plan, cached, start, assign_delays):
-    """Time the region of ``plan`` from position ``start`` on, taking the
-    positions before it from ``cached`` (a :class:`_RegionState`, or None
-    to time every position). Returns the new state."""
+def _retime_region(schedule, routing, plan, cached, seeds, assign_delays):
+    """Re-time the positions in ``seeds`` of the region of ``plan`` and,
+    in topological order, every consumer of a position whose finish time
+    or PE came out changed; the other positions keep their timing from
+    ``cached`` (a :class:`_RegionState`, or None, with ``seeds`` then
+    covering every position). Returns the new state and the number of
+    positions re-timed.
+
+    A position left alone would get the same arrivals and PE, so the
+    same timing, and its delays are already in ``input_delays``: only an
+    unplace drops delays, and it seeds the consumer.
+    """
     if cached is None:
-        start = 0
         size = len(plan)
-        ready = dict(plan.initial_ready)
         finish = [0] * size
         skew = [0] * size
         flow = [0] * size
         pes = [None] * size
+        skew_total = flow_total = 0
     else:
-        ready = dict(cached.timing.ready_times)
         finish = list(cached.finish)
         skew = list(cached.skew)
         flow = list(cached.flow)
         pes = list(cached.pes)
+        skew_total = cached.timing.skew_violations
+        flow_total = cached.timing.flow_violations
     steps = plan.steps
+    consumers = plan.consumers
     route_of = schedule.routes.get
     hw_of = schedule.placement.get
     adg_node = schedule.adg.node
     path_latency = routing.path_latency
+    heappush, heappop = heapq.heappush, heapq.heappop
 
-    for position in range(start, len(plan)):
+    pending = sorted(seeds)  # a sorted list is a heap
+    queued = set(pending)
+    while pending:
+        position = heappop(pending)
         step = steps[position]
         if step is None:
             continue  # inputs fire at t=0, constants are resident
@@ -189,32 +218,40 @@ def _retime_region(schedule, routing, plan, cached, start, assign_delays):
             arrivals.append((edge, time))
             if time > target:
                 target = time
-        ready[vertex.node_id] = target
-        finish[position] = target + latency
-        if not is_instr:
-            continue
-        hw_name = hw_of(vertex)
-        pes[position] = hw_name
-        if hw_name is None:
-            skew[position] = flow[position] = 0
-            continue
-        hw = adg_node(hw_name)
-        if isinstance(hw, ProcessingElement) and not hw.is_dynamic:
-            skew[position] = _assign_delays(
-                schedule, hw, arrivals, target, assign_delays
-            )
-        else:
-            skew[position] = 0
-        flow[position] = _plan_flow_violations(schedule, operands, hw)
+        end = target + latency
+        changed = end != finish[position]
+        finish[position] = end
+        if is_instr:
+            hw_name = hw_of(vertex)
+            if hw_name != pes[position]:
+                pes[position] = hw_name
+                changed = True
+            node_skew = node_flow = 0
+            if hw_name is not None:
+                hw = adg_node(hw_name)
+                if isinstance(hw, ProcessingElement) and not hw.is_dynamic:
+                    node_skew = _assign_delays(
+                        schedule, hw, arrivals, target, assign_delays
+                    )
+                node_flow = _plan_flow_violations(schedule, operands, hw)
+            skew_total += node_skew - skew[position]
+            skew[position] = node_skew
+            flow_total += node_flow - flow[position]
+            flow[position] = node_flow
+        if changed:
+            for consumer in consumers[position]:
+                if consumer not in queued:
+                    queued.add(consumer)
+                    heappush(pending, consumer)
 
     timing = RegionTiming(
         latency=max(finish, default=0),
         recurrence_latency=_plan_recurrence_latency(plan, finish),
-        skew_violations=sum(skew),
-        flow_violations=sum(flow),
-        ready_times=ready,
+        skew_violations=skew_total,
+        flow_violations=flow_total,
     )
-    return _RegionState(assign_delays, finish, skew, flow, pes, timing)
+    state = _RegionState(assign_delays, finish, skew, flow, pes, timing)
+    return state, len(queued)
 
 
 def _plan_flow_violations(schedule, operands, hw):
@@ -267,12 +304,13 @@ def _pe_initiation_intervals(schedule):
 
 def _link_initiation_interval(schedule):
     """A link carrying k software edges time-multiplexes k words per
-    instance."""
-    return max(map(len, schedule._link_value_refs.values()), default=1)
+    instance: the widest link, read off the live link-width histogram."""
+    return max(schedule._link_widths, default=1)
 
 
 def _time_region(schedule, routing, region, assign_delays):
-    """From-scratch timing of one region, straight from its DFG.
+    """From-scratch timing of one region, straight from its DFG: its
+    :class:`RegionTiming` and its ready times by node id.
 
     The oracle for the cached, plan-based :func:`compute_timing`; only
     the tests call it.
@@ -328,14 +366,13 @@ def _time_region(schedule, routing, region, assign_delays):
                 schedule, region, node, hw
             )
 
-    timing.ready_times = ready
     timing.latency = max(finish.values(), default=0)
     timing.recurrence_latency = _recurrence_latency(
         schedule, routing, region, finish
     )
     if timing.recurrence_latency:
         timing.ii = max(timing.ii, 1)
-    return timing
+    return timing, ready
 
 
 def _assign_delays(schedule, pe, arrivals, target, assign):

@@ -37,6 +37,12 @@ class IdAllocator:
         if number >= current:
             self._counters[prefix] = number + 1
 
+    def copy(self):
+        """An allocator with the same counters, advancing independently."""
+        twin = IdAllocator()
+        twin._counters = dict(self._counters)
+        return twin
+
     def peek(self, prefix):
         """Return the counter value without consuming a name."""
         return self._counters.get(prefix, 0)

@@ -432,6 +432,10 @@ def _lint_counter_state(schedule, report):
          schedule._recompute_pe_issue_cost()),
         ("link-values", schedule.link_values(),
          schedule._recompute_link_values()),
+        ("value-links", schedule.value_links(),
+         schedule._recompute_value_links()),
+        ("link-widths", schedule.link_widths(),
+         schedule._recompute_link_widths()),
         ("overuse", schedule.overuse(), schedule._recompute_overuse()),
     )
     for name, live, oracle in pairs:

@@ -1,5 +1,7 @@
 """Tests for the architecture description graph."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +112,31 @@ class TestGraphEditing:
         twin = adg.clone()
         twin.node("pe0").op_names.add("sub")
         assert "sub" not in adg.node("pe0").op_names
+
+    @pytest.mark.parametrize("preset", sorted(topologies.PRESETS))
+    def test_clone_matches_deepcopy(self, preset):
+        adg = topologies.PRESETS[preset]()
+        assert adg_to_dict(adg.clone()) == adg_to_dict(copy.deepcopy(adg))
+
+    def test_clone_edits_leave_original_unchanged(self):
+        adg = topologies.softbrain()
+        before = adg_to_dict(adg)
+        twin = adg.clone()
+        pe = twin.pes()[0]
+        pe.op_names.add("sdiv")
+        pe.op_names.discard("add")
+        pe.delay_fifo_depth += 3
+        pe.resourcing = Resourcing.SHARED
+        twin.switches()[0].flop_output = False
+        twin.remove(twin.switches()[1].name)
+        twin.remove_link(twin.links()[0].link_id)
+        name = twin.new_name("pe")
+        twin.add(ProcessingElement(name=name))
+        twin.connect(name, twin.switches()[0].name)
+        assert adg_to_dict(adg) == before
+        # The allocators advance independently.
+        assert adg.new_name("pe") == name
+        assert adg_to_dict(twin) != before
 
     def test_new_name_avoids_collisions(self):
         adg = tiny_fabric()

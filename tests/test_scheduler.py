@@ -185,6 +185,45 @@ def test_tree_traces_equal_routes(adg_name, occupancy, value, salt):
         assert routing.route(src, dst, grown, value) == traced
 
 
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    adg_name=st.sampled_from(sorted(_ROUTING)),
+    occupancy=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                 st.integers(0, 3)), max_size=120),
+    value=st.one_of(st.none(), st.integers(0, 4)),
+)
+def test_fast_path_routes_equal_full_search(adg_name, occupancy, value):
+    """Given the value -> link-count index, ``route`` answers from the
+    empty-fabric path cache exactly when the value is on no link and
+    that path is unoccupied, and returns what a full search returns for
+    every PE/sync pair, ties included."""
+    routing = _ROUTING[adg_name]
+    link_ids = sorted(routing._links)
+    link_values = {}
+    for index, occupant in occupancy:
+        link_values.setdefault(link_ids[index % len(link_ids)],
+                               set()).add(occupant)
+    value_links = {}
+    for values in link_values.values():
+        for occupant in values:
+            value_links[occupant] = value_links.get(occupant, 0) + 1
+    names = _endpoints(routing.adg)
+    expected_hits = 0
+    hits_before = routing.fast_hits
+    for src in names:
+        for dst in names:
+            full = routing.route(src, dst, link_values, value)
+            free = routing.route(src, dst)
+            if src != dst and value not in value_links and (
+                    free is None
+                    or not any(link_values.get(link) for link in free)):
+                expected_hits += 1
+            assert routing.route(src, dst, link_values, value,
+                                 value_links) == full, (src, dst)
+    assert routing.fast_hits - hits_before == expected_hits
+
+
 class TestSchedule:
     def test_vertices_skip_constants(self):
         scope = dot_scope()

@@ -1,11 +1,12 @@
 """Tests for the incremental schedule bookkeeping (PR 2).
 
 The schedule maintains utilization counters (``pe_load``/``port_load``/
-``link_values``/``memory_streams``/issue cost/route length and the PE,
-port and link overuse totals) live under mutation instead of
+``link_values``/``memory_streams``/issue cost/route length, the value ->
+link-count index, the link-width histogram and the PE, port, link and
+memory overuse totals) live under mutation instead of
 re-deriving them per objective evaluation. These tests pin the
 incremental state to the from-scratch ``_recompute_*`` oracles under
-randomized mutation sequences, pin dirty-suffix re-timing to the
+randomized mutation sequences, pin change-driven re-timing to the
 from-scratch ``_time_region`` oracle, and carry the regression
 tests for the two move-operator bugs fixed in the same change
 (`_swap_instructions` reporting progress after a revert,
@@ -30,7 +31,7 @@ from repro.ir import ConfigScope, Dfg, LinearStream, OffloadRegion
 from repro.ir.stream import RecurrenceStream, StreamDirection
 from repro.scheduler import RoutingGraph, Schedule, SpatialScheduler
 from repro.scheduler import stochastic as stochastic_mod
-from repro.scheduler.objective import evaluate_schedule
+from repro.scheduler.objective import evaluate_schedule, resource_cost
 from repro.scheduler.schedule import Edge, Vertex
 from repro.scheduler.timing import (
     _pe_initiation_intervals,
@@ -63,6 +64,9 @@ def assert_counters_match_oracles(sched):
     assert sched.pe_issue_cost() == sched._recompute_pe_issue_cost()
     assert sched.link_values() == sched._recompute_link_values()
     assert sched.route_length() == sched._recompute_route_length()
+    assert sched.value_links() == sched._recompute_value_links()
+    assert sched.link_widths() == sched._recompute_link_widths()
+    assert sched.overuse()["memory"] == sched._recompute_memory_overuse()
     assert sched.overuse() == sched._recompute_overuse()
     # memory_streams order within a memory is unspecified.
     live = {m: sorted(keys) for m, keys in sched.memory_streams().items()}
@@ -95,6 +99,8 @@ class TestIncrementalCounters:
         memories = [
             m.name for m in (adg.dma(), adg.scratchpad()) if m is not None
         ]
+        for memory in memories:  # three ports: overuse comes and goes
+            adg.node(memory).num_stream_slots = 1
         ports = [("dot", "a"), ("dot", "b"), ("dot", "c")]
         for step in range(400):
             op = rng.randint(0, 9)
@@ -210,6 +216,31 @@ class TestIncrementalCounters:
         # Stripping the placement on the removed PE keeps them in step.
         sched.unplace(sched.instruction_vertices()[0])
         assert_counters_match_oracles(sched)
+
+    def test_memory_overuse_is_a_running_count(self):
+        adg = topologies.softbrain()
+        dma = adg.dma().name
+        adg.node(dma).num_stream_slots = 1
+        sched = Schedule(dot_scope(), adg)
+        for port in ("a", "b", "c"):
+            sched.bind_stream("dot", port, dma)
+        assert sched.overuse()["memory"] == 2
+        assert resource_cost(sched).overuse_memory == 2
+        sched.stream_binding.pop(("dot", "a"))
+        assert sched.overuse()["memory"] == 1
+        # More slots on the edited hardware: rebind recounts.
+        edited = adg.clone()
+        edited.node(dma).num_stream_slots = 2
+        sched.rebind(edited)
+        assert sched.overuse()["memory"] == 0
+        sched.bind_stream("dot", "a", dma)
+        assert sched.overuse()["memory"] == 1
+        assert_counters_match_oracles(sched)
+        twin = sched.clone()
+        twin.stream_binding = {}
+        assert twin.overuse()["memory"] == 0
+        assert sched.overuse()["memory"] == 1
+        assert_counters_match_oracles(twin)
 
     def test_unrouted_edges_is_set_difference(self):
         adg = topologies.softbrain()
@@ -358,7 +389,8 @@ def assert_timing_matches_oracle(sched, routing, assign_delays):
         default=1,
     )
     for region in twin.regions():
-        oracle = _time_region(twin, routing, region, assign_delays)
+        oracle, oracle_ready = _time_region(twin, routing, region,
+                                            assign_delays)
         pes = {
             twin.placement.get(Vertex(region.name, node.node_id))
             for node in region.dfg.instructions()
@@ -373,9 +405,9 @@ def assert_timing_matches_oracle(sched, routing, assign_delays):
                      "skew_violations", "flow_violations"):
             assert getattr(got, name) == getattr(oracle, name), (
                 region.name, name)
-        assert list(got.ready_times.items()) == list(
-            oracle.ready_times.items()
-        )
+        state, _seeds = sched.cached_region_timing(region.name)
+        ready = state.ready_times(sched.timing_plan(region.name))
+        assert list(ready.items()) == list(oracle_ready.items())
     assert list(sched.input_delays.items()) == list(
         twin.input_delays.items()
     )
@@ -465,6 +497,8 @@ class TestDirtySuffixTiming:
             else:
                 sched.clear()
             assert sched.overuse() == sched._recompute_overuse()
+            assert sched.value_links() == sched._recompute_value_links()
+            assert sched.link_widths() == sched._recompute_link_widths()
             # Leave some mutations to accumulate before the next check,
             # so one re-time covers several dirty positions.
             if second % 3:
@@ -489,6 +523,28 @@ class TestDirtySuffixTiming:
         sched.unplace(Vertex("loop", 0))  # never placed
         assert_timing_matches_oracle(sched, routing, True)
 
+    def test_moving_a_producer_retimes_its_consumer(self):
+        # A consumer's flow violations follow its producer's PE, so a
+        # producer that changes PE (same finish time, no route touched)
+        # must re-time the consumer too.
+        adg = mixed_fabric()
+        routing = RoutingGraph(adg)
+        sched = Schedule(timing_scope(), adg)
+        producer, consumer = Vertex("loop", 2), Vertex("loop", 3)
+        pool = sched.candidates_for(producer)
+        static = next(n for n in pool if not adg.node(n).is_dynamic)
+        dynamic = next(n for n in pool if adg.node(n).is_dynamic)
+        sched.place(consumer, next(
+            n for n in sched.candidates_for(consumer)
+            if adg.node(n).is_dynamic and n != dynamic))
+        sched.place(producer, static)
+        assert compute_timing(sched, routing).regions["loop"] \
+            .flow_violations == 1
+        sched.place(producer, dynamic)
+        assert compute_timing(sched, routing).regions["loop"] \
+            .flow_violations == 0
+        assert_timing_matches_oracle(sched, routing, True)
+
     def test_late_mutation_retimes_only_the_suffix(self):
         adg = topologies.softbrain()
         scheduler = SpatialScheduler(adg, max_iters=60)
@@ -498,8 +554,9 @@ class TestDirtySuffixTiming:
         telemetry = Telemetry()
         compute_timing(sched, scheduler.routing, telemetry=telemetry)
         assert telemetry.counters.get("timing_nodes_retimed", 0) == 0
-        # The reduction feeds only the output: re-placing it dirties
-        # the last two positions.
+        # The reduction feeds only the output. Re-placing it on the same
+        # PE changes neither its finish time nor its PE: it alone is
+        # re-timed, and the output keeps its cached timing.
         acc = next(
             v for v in sched.instruction_vertices()
             if sched.node_of(v).reduction
@@ -509,10 +566,22 @@ class TestDirtySuffixTiming:
         sched.place(acc, hw)
         compute_timing(sched, scheduler.routing, telemetry=telemetry)
         assert telemetry.counters["timing_region_recomputes"] == 1
-        assert telemetry.counters["timing_nodes_retimed"] == (
-            len(plan) - plan.position[acc.node_id]
-        )
-        assert len(plan) - plan.position[acc.node_id] == 2
+        assert telemetry.counters["timing_nodes_retimed"] == 1
+        assert_timing_matches_oracle(sched, scheduler.routing, True)
+        # Dropping the routed operand into the reduction moves its
+        # finish time, which propagates to the output: two positions.
+        into_acc = next(edge for edge in sched.edges_of(acc)
+                        if edge.dst == acc)
+        assert scheduler.routing.path_latency(sched.routes[into_acc]) > 0
+        output = plan.consumers[plan.position[acc.node_id]]
+        assert len(output) == 1 and plan.steps[output[0]][1] is False
+        before, _ = sched.cached_region_timing("dot")
+        sched.routes.pop(into_acc)
+        compute_timing(sched, scheduler.routing, telemetry=telemetry)
+        assert telemetry.counters["timing_region_recomputes"] == 2
+        assert telemetry.counters["timing_nodes_retimed"] == 1 + 2
+        after, _ = sched.cached_region_timing("dot")
+        assert after.finish[output[0]] < before.finish[output[0]]
         assert_timing_matches_oracle(sched, scheduler.routing, True)
 
 
@@ -674,6 +743,7 @@ class TestSchedulerTelemetry:
         assert counters["sched_runs"] == 1
         assert counters["sched_evaluations"] > 0
         assert counters.get("timing_region_recomputes", 0) > 0
+        assert counters.get("sched_route_fast_hits", 0) > 0
         for phase in ("sched/greedy_place", "sched/route_all",
                       "sched/search"):
             assert phase in telemetry.timings

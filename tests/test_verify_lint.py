@@ -177,6 +177,18 @@ def test_overuse_counter_drift(mapped):
     assert "state.overuse-drift" in report.codes()
 
 
+def test_value_index_and_width_drift(mapped):
+    adg, schedule = _clone(mapped)
+    value = next(iter(schedule._value_links))
+    schedule._value_links[value] += 1
+    schedule._link_widths[99] = 1
+    schedule._overuse_memory += 1
+    report = lint_schedule(schedule, adg, allow_partial=True)
+    for code in ("state.value-links-drift", "state.link-widths-drift",
+                 "state.overuse-drift"):
+        assert code in report.codes()
+
+
 def test_check_state_false_skips_drift(mapped):
     adg, schedule = _clone(mapped)
     schedule._route_length += 7
