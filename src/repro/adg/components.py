@@ -164,11 +164,6 @@ class ProcessingElement(Component):
     def is_shared(self):
         return self.resourcing is Resourcing.SHARED
 
-    @property
-    def supports_stream_join(self):
-        """Dynamic PEs implement operand reuse/discard (stream-join [20])."""
-        return self.is_dynamic
-
     def supports_op(self, op_name, width=None):
         """Can this PE execute ``op_name`` (optionally at ``width`` bits)?"""
         if op_name not in self.op_names:

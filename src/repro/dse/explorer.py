@@ -127,11 +127,6 @@ class DseResult:
         return accepted[-1].area_mm2 if accepted else self.initial_area
 
     @property
-    def final_power(self):
-        accepted = [h for h in self.history if h.accepted]
-        return accepted[-1].power_mw if accepted else self.initial_power
-
-    @property
     def candidates_per_sec(self):
         return self.telemetry.get("candidates_per_sec", 0.0)
 

@@ -127,6 +127,3 @@ class Function:
 
     def array_params(self):
         return [p.name for p in self.params if p.is_pointer]
-
-    def scalar_params(self):
-        return [p.name for p in self.params if not p.is_pointer]

@@ -294,9 +294,6 @@ class ConfigScope:
         for region in self.regions:
             region.bind_constants(memory)
 
-    def total_instructions(self):
-        return sum(r.compute_instruction_count() for r in self.regions)
-
     def required_ops(self):
         ops = set()
         for region in self.regions:

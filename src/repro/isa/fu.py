@@ -55,11 +55,6 @@ class FunctionalUnit:
             return True
         return width >= self.decomposable_to and opcode(op_name).decomposable
 
-    @property
-    def max_latency(self):
-        """Worst-case opcode latency — sizes the PE's output pipeline."""
-        return max(opcode(name).latency for name in self.opcodes)
-
     def lanes(self, width):
         """How many independent ``width``-bit operations fit per cycle."""
         if width > self.width or width < self.decomposable_to:

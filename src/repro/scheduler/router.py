@@ -1,13 +1,15 @@
 """Congestion-aware shortest-path routing over the ADG network.
 
 "Route this instruction's operands and dependences to the network using
-Dijkstra's algorithm" (Algorithm 1). :class:`RoutingGraph` builds
-adjacency once per ADG, on first use; :meth:`route` finds a cheapest
-path whose interior traverses only switches and delay FIFOs, with link
-costs inflated by current congestion so the stochastic search
-negotiates away overuse (in the spirit of PathFinder [51]).
-:meth:`tree` runs the same search from one source to every node, so
-several routes out of one source under one congestion view share it.
+Dijkstra's algorithm" (Algorithm 1). :class:`RoutingGraph` fetches its
+adjacency on first use from tables shared by every graph of a
+structurally equal fabric (:func:`fabric_signature`), so each compile on
+a fabric already seen pays only for the search; :meth:`route` finds a
+cheapest path whose interior traverses only switches and delay FIFOs,
+with link costs inflated by current congestion so the stochastic search
+negotiates away overuse (in the spirit of PathFinder [51]). :meth:`tree`
+runs the same search from one source to every node, so several routes
+out of one source under one congestion view share it.
 
 Congestion only raises link costs, and a value already on some link is
 the only thing that lowers one (multicast fanout). So when the routed
@@ -15,20 +17,108 @@ value is on no link and the shortest path of the empty fabric is still
 unoccupied, that path is the answer: it keeps its cost, every other path
 costs at least its empty-fabric cost, and each node on it keeps the
 first minimal predecessor it had in the same ``(cost, name)`` pop order.
-:meth:`route` returns it from a per-graph cache without a search when
+:meth:`route` returns it from the fabric's cache without a search when
 the caller passes the value -> link-count index that proves the first
 condition, tracing it from one empty-fabric :meth:`tree` per source.
 """
 
 import heapq
+from collections import OrderedDict
 
 from repro.adg.components import DelayFifo, Switch
+
+#: Fabrics whose routing tables are kept (least recently used dropped).
+SHARED_FABRICS = 8
+# fabric_signature(adg) -> _FabricTables, most recently used last: one
+# cache per process, as compiles build their graphs internally (a
+# process runs one compile at a time; the server's is a serial thread).
+_SHARED_TABLES = OrderedDict()
+
+
+def fabric_signature(adg):
+    """Everything the routing tables read from ``adg``, in build order.
+
+    Node names in :meth:`Adg.node_names` order, each with its component
+    class and, for switches, its latency; then ``(link_id, src, dst)``
+    per link in :meth:`Adg.links` order. Order is part of the key:
+    adjacency order breaks equal-cost ties. Any topology edit, or a
+    switch latency change, gives a new signature; edits the router does
+    not read (delay-FIFO depths, PE ops, link widths) do not.
+    """
+    nodes = []
+    for name in adg.node_names():
+        node = adg.node(name)
+        nodes.append((name, type(node),
+                      node.latency if isinstance(node, Switch) else None))
+    links = tuple((link.link_id, link.src, link.dst) for link in adg.links())
+    return tuple(nodes), links
+
+
+class _FabricTables:
+    """The routing tables of one fabric signature, built from the
+    signature alone so they cannot depend on anything it leaves out.
+
+    ``adjacency`` maps each node name to its ``(link_id, dst, LINK_COST
+    + hop latency)`` entries; ``passable`` holds the switches and delay
+    FIFOs; ``forward``/``terminal`` split the entries for
+    :meth:`RoutingGraph.route` — those into passable nodes by source
+    node, the rest by destination node, then by source node.
+    ``free_trees`` (src -> empty-fabric :meth:`RoutingGraph.tree`) and
+    ``hop_tables`` (src -> BFS hop table) fill on first use.
+    """
+
+    __slots__ = ("adjacency", "passable", "forward", "terminal",
+                 "free_trees", "hop_tables")
+
+    def __init__(self, signature):
+        nodes, links = signature
+        link_cost = RoutingGraph.LINK_COST
+        latency = {}
+        passable = set()
+        for name, kind, switch_latency in nodes:
+            latency[name] = 1 if switch_latency is None else switch_latency
+            if issubclass(kind, (Switch, DelayFifo)):
+                passable.add(name)
+        adjacency = {name: [] for name, _kind, _latency in nodes}
+        for link_id, src, dst in links:
+            adjacency[src].append((link_id, dst, link_cost + latency[dst]))
+        self.adjacency = adjacency
+        self.passable = passable = frozenset(passable)
+        self.forward = {}
+        self.terminal = {}
+        for name, entries in adjacency.items():
+            self.forward[name] = [
+                entry for entry in entries if entry[1] in passable
+            ]
+            for entry in entries:
+                if entry[1] not in passable:
+                    self.terminal.setdefault(entry[1], {}).setdefault(
+                        name, []).append(entry)
+        self.free_trees = {}
+        self.hop_tables = {}
+
+
+def _fabric_tables(adg):
+    """The shared tables for ``adg``'s signature, built on a miss."""
+    signature = fabric_signature(adg)
+    tables = _SHARED_TABLES.get(signature)
+    if tables is None:
+        tables = _SHARED_TABLES[signature] = _FabricTables(signature)
+        if len(_SHARED_TABLES) > SHARED_FABRICS:
+            _SHARED_TABLES.popitem(last=False)
+    else:
+        _SHARED_TABLES.move_to_end(signature)
+    return tables
 
 
 class RoutingGraph:
     """Routing view of an ADG.
 
-    Rebuild after any topology edit (the repair pass does this).
+    Rebuild after any topology edit (the repair pass does this). The
+    routing tables are looked up by :func:`fabric_signature` on first
+    routing use and shared by every graph of a structurally equal
+    fabric; the link latencies of :meth:`path_latency` and
+    :attr:`fast_hits` stay per graph.
     """
 
     #: Cost of traversing one link.
@@ -42,56 +132,25 @@ class RoutingGraph:
     def __init__(self, adg):
         self.adg = adg
         self._links = {link.link_id: link for link in adg.links()}
-        # The adjacency lists, the passable-node set and the per-source
-        # BFS hop tables only serve routing queries (``route``/``tree``/
-        # ``hops``); they are filled on first use, and per-link path
-        # latencies as links are first timed, so timing-only consumers —
-        # the simulator builds a RoutingGraph per replay just for
-        # ``path_latency`` — pay the link dict and nothing else.
-        # node name -> [(link_id, dst, LINK_COST + hop latency)]
-        self._adjacency = None
-        self._passable_names = None
-        # The same entries split for route(): those into switches and
-        # delay FIFOs by source node, the rest by destination node, then
-        # by source node.
-        self._forward = None
-        self._terminal = None
+        # The shared tables only serve routing queries (``route``/
+        # ``tree``/``hops``) and are fetched on first use, and per-link
+        # path latencies are filled as links are first timed, so
+        # timing-only consumers — the simulator builds a RoutingGraph per
+        # replay just for ``path_latency`` — pay the link dict and
+        # nothing else, not even the signature.
+        self._tables = None
         self._link_latency = {}  # link_id -> pipeline cycles it adds
-        self._hop_cache = {}
-        self._free_trees = {}  # src -> tree() over the empty fabric
         #: Routes answered from the empty-fabric cache, without a search.
         self.fast_hits = 0
 
     def link(self, link_id):
         return self._links[link_id]
 
-    def _neighbors(self):
-        if self._adjacency is None:
-            adg = self.adg
-            adjacency = {name: [] for name in adg.node_names()}
-            for link in self._links.values():
-                dst_node = adg.node(link.dst)
-                latency = 1
-                if isinstance(dst_node, Switch):
-                    latency = dst_node.latency
-                adjacency[link.src].append(
-                    (link.link_id, link.dst, self.LINK_COST + latency))
-            self._adjacency = adjacency
-            passable = self._passable_names = frozenset(
-                name for name in adjacency
-                if isinstance(adg.node(name), (Switch, DelayFifo))
-            )
-            self._forward = {}
-            self._terminal = {}
-            for name, entries in adjacency.items():
-                self._forward[name] = [
-                    entry for entry in entries if entry[1] in passable
-                ]
-                for entry in entries:
-                    if entry[1] not in passable:
-                        self._terminal.setdefault(entry[1], {}).setdefault(
-                            name, []).append(entry)
-        return self._adjacency
+    def tables(self):
+        """This graph's (shared) :class:`_FabricTables`."""
+        if self._tables is None:
+            self._tables = _fabric_tables(self.adg)
+        return self._tables
 
     def route(self, src, dst, link_values=None, value=None,
               value_links=None):
@@ -115,26 +174,26 @@ class RoutingGraph:
         """
         if src == dst:
             return []
+        tables = self._tables or self.tables()
         if value_links is not None and value not in value_links:
             # The empty-fabric route, traced from one tree per source.
-            free = self._free_trees.get(src)
+            free = tables.free_trees.get(src)
             if free is None:
-                free = self._free_trees[src] = self.tree(src)
+                free = tables.free_trees[src] = self.tree(src)
             path = self.trace(free, dst)
             if path is None or not link_values \
                     or not any(map(link_values.get, path)):
                 self.fast_hits += 1
                 return path
-        self._neighbors()
         # Only switches and delay FIFOs forward traffic, so any other
         # neighbour but ``dst`` is a dead end: the search only relaxes
         # the entries into passable nodes and those into ``dst``. Heap
         # order is total on (cost, name), so leaving the dead ends out
         # does not change the order the remaining ones pop in.
-        forward = self._forward
+        forward = tables.forward
         into_dst = {}
-        if dst not in self._passable_names:
-            into_dst = self._terminal.get(dst, into_dst)
+        if dst not in tables.passable:
+            into_dst = tables.terminal.get(dst, into_dst)
         link_values = link_values or {}
         congestion = self.CONGESTION_COST
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -182,8 +241,8 @@ class RoutingGraph:
         ``(src, parent)``; the result keeps no reference to
         ``link_values``.
         """
-        adjacency = self._neighbors()
-        passable = self._passable_names
+        tables = self._tables or self.tables()
+        adjacency, passable = tables.adjacency, tables.passable
         link_values = link_values or {}
         congestion = self.CONGESTION_COST
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -251,31 +310,31 @@ class RoutingGraph:
             return 1
         return 0
 
-    def _bfs_hops(self, src):
-        """BFS hop table from ``src`` (interior hops through switches
-        and delay FIFOs only)."""
-        adjacency = self._neighbors()
-        passable = self._passable_names
-        table = {src: 0}
-        frontier = [src]
-        while frontier:
-            next_frontier = []
-            for name in frontier:
-                if name != src and name not in passable:
-                    continue
-                for _link_id, neighbor, _step in adjacency[name]:
-                    if neighbor not in table:
-                        table[neighbor] = table[name] + 1
-                        next_frontier.append(neighbor)
-            frontier = next_frontier
-        return table
-
     def hops(self, src, dst):
-        """Congestion-free hop distance; inf when unreachable. The BFS
-        table from ``src`` is filled on first use and kept. Used to bias
-        placement toward nearby tiles."""
-        table = self._hop_cache.get(src)
+        """Congestion-free hop distance; inf when unreachable (interior
+        hops through switches and delay FIFOs only). The BFS table from
+        ``src`` is filled on first use and shared with the fabric's
+        other graphs. Used to bias placement toward nearby tiles."""
+        tables = self._tables or self.tables()
+        table = tables.hop_tables.get(src)
         if table is None:
-            table = self._bfs_hops(src)
-            self._hop_cache[src] = table
+            table = tables.hop_tables[src] = _bfs_hops(tables, src)
         return table.get(dst, float("inf"))
+
+
+def _bfs_hops(tables, src):
+    """BFS hop table from ``src`` over a fabric's tables."""
+    adjacency, passable = tables.adjacency, tables.passable
+    table = {src: 0}
+    frontier = [src]
+    while frontier:
+        next_frontier = []
+        for name in frontier:
+            if name != src and name not in passable:
+                continue
+            for _link_id, neighbor, _step in adjacency[name]:
+                if neighbor not in table:
+                    table[neighbor] = table[name] + 1
+                    next_frontier.append(neighbor)
+        frontier = next_frontier
+    return table

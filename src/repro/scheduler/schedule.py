@@ -46,7 +46,7 @@ Invariants callers must respect (all existing callers do):
   :data:`STATS`).
 """
 
-from dataclasses import dataclass
+import weakref
 
 from repro.adg.components import (
     Direction,
@@ -67,46 +67,102 @@ from repro.isa.opcodes import OPCODES
 STATS = {"load_rebuilds": 0}
 
 
-@dataclass(frozen=True)
-class Vertex:
+_set = object.__setattr__
+
+
+class _Identity:
+    """Base of the immutable schedule keys :class:`Vertex` and
+    :class:`Edge`. Each compares by its fields and hashes once, at
+    construction, to the hash of its field tuple — the value a frozen
+    dataclass gives, so set and dict iteration order are as before. It
+    pickles from its fields alone: a copy loaded under another
+    ``PYTHONHASHSEED`` hashes afresh instead of carrying a stale hash."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):
+        # Pickles of the former frozen dataclasses carry a field dict.
+        self.__init__(**state)
+
+
+class Vertex(_Identity):
     """A software vertex: one DFG node of one region."""
 
-    region: str
-    node_id: int
+    __slots__ = ("region", "node_id", "_hash")
+
+    def __init__(self, region, node_id):
+        _set(self, "region", region)
+        _set(self, "node_id", node_id)
+        _set(self, "_hash", hash((region, node_id)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is Vertex:
+            return (self.node_id == other.node_id
+                    and self.region == other.region)
+        return NotImplemented
+
+    def __reduce__(self):
+        return Vertex, (self.region, self.node_id)
 
     def __repr__(self):
         return f"{self.region}#{self.node_id}"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(_Identity):
     """A software dependence: producer vertex -> consumer operand slot.
 
     ``operand_index`` is -1 for predicate inputs. ``lane`` selects the
-    producer word being consumed: the pair ``(src, lane)`` is the value
-    identity used for multicast routing — edges carrying the same value
-    may share network links (fanout), edges carrying different values
-    may not (on dedicated/static switches).
+    producer word being consumed. ``src``/``dst`` are the producer and
+    consumer :class:`Vertex`; ``value`` — ``(region, src_id, lane)`` —
+    is the value identity used for multicast routing: edges carrying
+    the same value may share network links (fanout), edges carrying
+    different values may not (on dedicated/static switches). All three
+    are built once, at construction.
     """
 
-    region: str
-    src_id: int
-    dst_id: int
-    operand_index: int
-    lane: int = 0
+    __slots__ = ("region", "src_id", "dst_id", "operand_index", "lane",
+                 "src", "dst", "value", "_hash")
 
-    @property
-    def src(self):
-        return Vertex(self.region, self.src_id)
+    def __init__(self, region, src_id, dst_id, operand_index, lane=0):
+        _set(self, "region", region)
+        _set(self, "src_id", src_id)
+        _set(self, "dst_id", dst_id)
+        _set(self, "operand_index", operand_index)
+        _set(self, "lane", lane)
+        _set(self, "src", Vertex(region, src_id))
+        _set(self, "dst", Vertex(region, dst_id))
+        _set(self, "value", (region, src_id, lane))
+        _set(self, "_hash",
+             hash((region, src_id, dst_id, operand_index, lane)))
 
-    @property
-    def dst(self):
-        return Vertex(self.region, self.dst_id)
+    def __hash__(self):
+        return self._hash
 
-    @property
-    def value(self):
-        """The multicast value identity carried by this edge."""
-        return (self.region, self.src_id, self.lane)
+    def __eq__(self, other):
+        if other.__class__ is Edge:
+            return (self.dst_id == other.dst_id
+                    and self.src_id == other.src_id
+                    and self.operand_index == other.operand_index
+                    and self.lane == other.lane
+                    and self.region == other.region)
+        return NotImplemented
+
+    def __reduce__(self):
+        return Edge, (self.region, self.src_id, self.dst_id,
+                      self.operand_index, self.lane)
+
+    def __repr__(self):
+        return (f"Edge(region={self.region!r}, src_id={self.src_id!r}, "
+                f"dst_id={self.dst_id!r}, "
+                f"operand_index={self.operand_index!r}, lane={self.lane!r})")
 
 
 class RegionPlan:
@@ -195,26 +251,32 @@ class _ObservedDict(dict):
     The callbacks keep the schedule's live utilization counters in sync
     with direct mutations (``sched.routes.pop(edge)``,
     ``del sched.placement[v]``, ...) without forcing every caller
-    through dedicated mutator methods.
+    through dedicated mutator methods. They are plain functions called
+    as ``on_add(owner, key, value)``, and the owner is held weakly: a
+    bound method would make every schedule a reference cycle, freed
+    only when the cyclic garbage collector next runs instead of as soon
+    as its last reference goes.
     """
 
-    __slots__ = ("_on_add", "_on_remove")
+    __slots__ = ("_owner", "_on_add", "_on_remove")
 
-    def __init__(self, on_add, on_remove):
+    def __init__(self, owner, on_add, on_remove):
         super().__init__()
+        self._owner = weakref.ref(owner)
         self._on_add = on_add
         self._on_remove = on_remove
 
     def __setitem__(self, key, value):
+        owner = self._owner()
         if key in self:
-            self._on_remove(key, dict.__getitem__(self, key))
+            self._on_remove(owner, key, dict.__getitem__(self, key))
         dict.__setitem__(self, key, value)
-        self._on_add(key, value)
+        self._on_add(owner, key, value)
 
     def __delitem__(self, key):
         value = dict.__getitem__(self, key)
         dict.__delitem__(self, key)
-        self._on_remove(key, value)
+        self._on_remove(self._owner(), key, value)
 
     def pop(self, key, *default):
         if key in self:
@@ -276,6 +338,10 @@ class Schedule:
         self._edges = None
         self._edges_by_vertex = None
         self._all_vertices = None
+        self._vertex_nodes = None   # Vertex -> DFG node
+        # Vertex -> legal hw names on ``adg``: shared by clones, replaced
+        # (not cleared: clones may still use it) by rebind.
+        self._candidates = {}
         # Live utilization counters (see module docstring).
         self._pe_load = {}          # PE name -> mapped instruction count
         self._port_load = {}        # sync name -> mapped DFG port count
@@ -303,11 +369,13 @@ class Schedule:
         self._timing_cache = {}     # region -> cached timing entry
         self._timing_seeds = {}     # region -> {seed position, ...}
         self._placement = _ObservedDict(
-            self._vertex_placed, self._vertex_unplaced
+            self, Schedule._vertex_placed, Schedule._vertex_unplaced
         )
-        self._routes = _ObservedDict(self._route_added, self._route_removed)
+        self._routes = _ObservedDict(
+            self, Schedule._route_added, Schedule._route_removed
+        )
         self._stream_binding = _ObservedDict(
-            self._stream_bound, self._stream_unbound
+            self, Schedule._stream_bound, Schedule._stream_unbound
         )
 
     # ------------------------------------------------------------------
@@ -328,7 +396,7 @@ class Schedule:
         self._pe_issue_cost.clear()
         self._overuse_pe = self._overuse_port = 0
         self._placement = _ObservedDict(
-            self._vertex_placed, self._vertex_unplaced
+            self, Schedule._vertex_placed, Schedule._vertex_unplaced
         )
         self._placement.update(items)
 
@@ -347,7 +415,9 @@ class Schedule:
         self._link_widths.clear()
         self._route_length = 0
         self._overuse_link = 0
-        self._routes = _ObservedDict(self._route_added, self._route_removed)
+        self._routes = _ObservedDict(
+            self, Schedule._route_added, Schedule._route_removed
+        )
         self._routes.update(items)
 
     @property
@@ -362,7 +432,7 @@ class Schedule:
         self._memory_streams.clear()
         self._overuse_memory = 0
         self._stream_binding = _ObservedDict(
-            self._stream_bound, self._stream_unbound
+            self, Schedule._stream_bound, Schedule._stream_unbound
         )
         self._stream_binding.update(items)
 
@@ -523,18 +593,18 @@ class Schedule:
     def vertices(self, kinds=None):
         """All software vertices, optionally filtered by NodeKind set."""
         if self._all_vertices is None:
-            result = []
+            nodes = {}
             for region in self.scope.regions:
                 for node in region.dfg.nodes():
                     if node.kind is NodeKind.CONST:
                         continue  # constants are baked into PE config
-                    result.append(Vertex(region.name, node.node_id))
-            self._all_vertices = result
+                    nodes[Vertex(region.name, node.node_id)] = node
+            self._vertex_nodes = nodes
+            self._all_vertices = list(nodes)
         if kinds is None:
             return list(self._all_vertices)
-        return [
-            v for v in self._all_vertices if self.node_of(v).kind in kinds
-        ]
+        nodes = self._vertex_nodes
+        return [v for v in self._all_vertices if nodes[v].kind in kinds]
 
     def num_vertices(self):
         if self._all_vertices is None:
@@ -548,8 +618,14 @@ class Schedule:
         return self.vertices({NodeKind.INPUT, NodeKind.OUTPUT})
 
     def node_of(self, vertex):
-        """The DFG node behind a vertex."""
-        return self.region(vertex.region).dfg.node(vertex.node_id)
+        """The DFG node behind a vertex (a table lookup for the vertices
+        of :meth:`vertices`)."""
+        if self._vertex_nodes is None:
+            self.vertices()
+        node = self._vertex_nodes.get(vertex)
+        if node is None:  # a constant, or not a vertex of this scope
+            node = self.region(vertex.region).dfg.node(vertex.node_id)
+        return node
 
     def edges(self):
         """All software dependence edges (cached, shared with clones)."""
@@ -669,6 +745,8 @@ class Schedule:
         twin._edges = self._edges
         twin._edges_by_vertex = self._edges_by_vertex
         twin._all_vertices = self._all_vertices
+        twin._vertex_nodes = self._vertex_nodes
+        twin._candidates = self._candidates  # same ADG: share
         twin._timing_plans = self._timing_plans
         return twin
 
@@ -682,6 +760,7 @@ class Schedule:
         # memory may be gone, until the caller strips what used it):
         # recount PE and memory overuse.
         self._pe_capacity = {}
+        self._candidates = {}
         self._overuse_pe = sum(
             max(0, load - self._capacity(hw_name))
             for hw_name, load in self._pe_load.items()
@@ -947,15 +1026,19 @@ class Schedule:
         return False
 
     def candidates_for(self, vertex):
-        """All legal hardware targets for a vertex."""
-        node = self.node_of(vertex)
-        if node.kind is NodeKind.INSTR:
-            pool = self.adg.pes()
-        else:
-            pool = self.adg.sync_elements()
-        return [
-            hw.name for hw in pool if self.placement_legal(vertex, hw.name)
-        ]
+        """All legal hardware targets for a vertex, as a new list (found
+        once per vertex until :meth:`rebind`)."""
+        names = self._candidates.get(vertex)
+        if names is None:
+            if self.node_of(vertex).kind is NodeKind.INSTR:
+                pool = self.adg.pes()
+            else:
+                pool = self.adg.sync_elements()
+            names = self._candidates[vertex] = tuple(
+                hw.name for hw in pool
+                if self.placement_legal(vertex, hw.name)
+            )
+        return list(names)
 
     def summary(self):
         return {

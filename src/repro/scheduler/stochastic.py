@@ -101,6 +101,9 @@ class SpatialScheduler:
         )
         # Set per search iteration: consider every candidate, not a sample.
         self._thorough = False
+        # PE name -> (is_dynamic, is_shared) for the victim pool's
+        # flow-violation scan (see _flow_flags); reset per schedule().
+        self._pe_flags = None
 
     def _evaluate(self, sched):
         return evaluate_schedule(
@@ -121,6 +124,7 @@ class SpatialScheduler:
         rebuilds_before = SCHEDULE_STATS["load_rebuilds"]
         fast_hits_before = self.routing.fast_hits
         sched = initial if initial is not None else Schedule(scope, self.adg)
+        self._pe_flags = None
         if initial is not None and sched.adg is not self.adg:
             sched.rebind(self.adg)
         self._region_rates = self._compute_region_rates(scope)
@@ -578,56 +582,75 @@ class SpatialScheduler:
     def _pick_victim(self, sched):
         """Prefer vertices that contribute to cost: unplaced ones, those
         on overused resources, then anything."""
+        pool = self._victim_pool(sched)
+        return self.rng.choice(pool) if pool else None
+
+    def _victim_pool(self, sched):
+        """The list :meth:`_pick_victim` draws from: the unplaced
+        vertices; else the vertices on an overused PE or sync element,
+        then the consumers of routes over a link carrying several values,
+        then both endpoints of each flow-violating edge (duplicates kept,
+        they weight the draw); else the producers of unrouted edges;
+        else every placed vertex. Each scan is skipped when the live
+        overuse counters show it would find nothing."""
         unplaced = sched.unplaced_vertices()
         if unplaced:
-            return self.rng.choice(unplaced)
+            return unplaced
+        placement = sched.placement
         overused = []
-        pe_load = sched.pe_load()
-        port_load = sched.port_load()
-        for vertex, hw_name in sched.placement.items():
-            node = sched.node_of(vertex)
-            if node.kind is NodeKind.INSTR:
-                hw = sched.adg.node(hw_name)
-                capacity = getattr(hw, "max_instructions", 1)
-                if pe_load.get(hw_name, 0) > capacity:
+        if sched._overuse_pe or sched._overuse_port:
+            pe_load, port_load = sched._pe_load, sched._port_load
+            for vertex, hw_name in placement.items():
+                if sched.node_of(vertex).kind is NodeKind.INSTR:
+                    if pe_load.get(hw_name, 0) > sched._capacity(hw_name):
+                        overused.append(vertex)
+                elif port_load.get(hw_name, 0) > 1:
                     overused.append(vertex)
-            elif port_load.get(hw_name, 0) > 1:
-                overused.append(vertex)
-        link_load = sched.link_load()
-        hot_links = {
-            link_id for link_id, load in link_load.items() if load > 1
-        }
-        for edge, links in sched.routes.items():
-            if any(link_id in hot_links for link_id in links):
-                if edge.dst in sched.placement:
-                    overused.append(edge.dst)
+        if sched._overuse_link:
+            hot_links = {
+                link_id
+                for link_id, refs in sched._link_value_refs.items()
+                if len(refs) > 1
+            }
+            for edge, links in sched.routes.items():
+                if not hot_links.isdisjoint(links):
+                    if edge.dst in placement:
+                        overused.append(edge.dst)
         # Execution-model flow violations (Section III-B): either endpoint
         # of a static->dynamic or dedicated->shared edge is a good victim.
-        from repro.adg.components import ProcessingElement as _PE
-
-        for edge in sched.edges():
-            src_hw = sched.placement.get(edge.src)
-            dst_hw = sched.placement.get(edge.dst)
-            if src_hw is None or dst_hw is None:
+        flags = self._flow_flags()
+        for edge in sched.edges() if flags else ():
+            src_flags = flags.get(placement.get(edge.src))
+            if src_flags is None:  # unplaced, or not on a PE
                 continue
-            src_node = sched.adg.node(src_hw)
-            dst_node = sched.adg.node(dst_hw)
-            if not (isinstance(src_node, _PE) and isinstance(dst_node, _PE)):
+            dst_flags = flags.get(placement.get(edge.dst))
+            if dst_flags is None:
                 continue
-            if (not src_node.is_dynamic and dst_node.is_dynamic) or (
-                not src_node.is_shared and dst_node.is_shared
+            if (not src_flags[0] and dst_flags[0]) or (
+                not src_flags[1] and dst_flags[1]
             ):
                 overused.append(edge.src)
                 overused.append(edge.dst)
+        if overused:
+            return overused
         unrouted = [
             edge.src for edge in sched.edges()
-            if edge not in sched.routes and edge.src in sched.placement
+            if edge not in sched.routes and edge.src in placement
         ]
-        pool = overused or unrouted
-        if pool:
-            return self.rng.choice(pool)
-        everything = [v for v in sched.vertices() if v in sched.placement]
-        return self.rng.choice(everything) if everything else None
+        if unrouted:
+            return unrouted
+        return [v for v in sched.vertices() if v in placement]
+
+    def _flow_flags(self):
+        """PE name -> ``(is_dynamic, is_shared)``, built once per
+        :meth:`schedule` call; empty when no PE is dynamic or shared, as
+        then no edge can violate the flow rules."""
+        if self._pe_flags is None:
+            pes = self.adg.pes()
+            self._pe_flags = {
+                pe.name: (pe.is_dynamic, pe.is_shared) for pe in pes
+            } if any(pe.is_dynamic or pe.is_shared for pe in pes) else {}
+        return self._pe_flags
 
 
 def _is_static_pe(hw):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.adg import Adg, topologies
 from repro.adg.components import (
+    DelayFifo,
     Direction,
     Memory,
     ProcessingElement,
@@ -23,6 +24,7 @@ from repro.scheduler import (
     evaluate_schedule,
     repair_schedule,
 )
+from repro.scheduler import router
 from repro.scheduler.repair import strip_invalid
 from repro.scheduler.schedule import Vertex
 from repro.scheduler.timing import compute_timing
@@ -222,6 +224,133 @@ def test_fast_path_routes_equal_full_search(adg_name, occupancy, value):
             assert routing.route(src, dst, link_values, value,
                                  value_links) == full, (src, dst)
     assert routing.fast_hits - hits_before == expected_hits
+
+
+def _adjacency_oracle(adg):
+    """The adjacency routing must see, straight from ``adg``: per node,
+    its out-links in ``adg.links()`` order with their step costs."""
+    expected = {name: [] for name in adg.node_names()}
+    for link in adg.links():
+        dst = adg.node(link.dst)
+        latency = dst.latency if isinstance(dst, Switch) else 1
+        expected[link.src].append(
+            (link.link_id, link.dst, RoutingGraph.LINK_COST + latency))
+    return expected
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    adg_name=st.sampled_from(sorted(_ROUTING)),
+    unflopped=st.lists(st.integers(0, 10 ** 6), max_size=6),
+    occupancy=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                 st.integers(0, 3)), max_size=120),
+    value=st.one_of(st.none(), st.integers(0, 4)),
+)
+def test_shared_tables_equal_fresh_tables(adg_name, unflopped, occupancy,
+                                          value):
+    """A graph served by the fabric-shared tables (already used by other
+    graphs) routes, traces trees and counts hops exactly like a graph
+    whose tables were built with the cache emptied, and both tables hold
+    the ADG's own adjacency, link order and switch latencies included."""
+    base = topologies.PRESETS[adg_name]()
+    variant = base.clone()
+    switches = variant.switches()
+    for index in unflopped:  # latency 0 on a few switches
+        switches[index % len(switches)].flop_output = False
+    RoutingGraph(base).tables()  # a structurally different neighbour
+    warm = RoutingGraph(variant)
+    names = _endpoints(variant)
+    for src in names[::5]:
+        warm.route(src, names[0], {}, None, {})
+        warm.hops(src, names[-1])
+    shared = RoutingGraph(variant.clone())
+    assert shared.tables() is warm.tables()
+    router._SHARED_TABLES.clear()
+    fresh = RoutingGraph(variant)
+    assert fresh.tables() is not shared.tables()
+    oracle = _adjacency_oracle(variant)
+    for graph in (shared, fresh):
+        assert graph.tables().adjacency == oracle
+
+    link_ids = sorted(shared._links)
+    link_values = {}
+    for index, occupant in occupancy:
+        link_values.setdefault(link_ids[index % len(link_ids)],
+                               set()).add(occupant)
+    value_links = {}
+    for values in link_values.values():
+        for occupant in values:
+            value_links[occupant] = value_links.get(occupant, 0) + 1
+    for src in names:
+        trees = [graph.tree(src, link_values, value)
+                 for graph in (shared, fresh)]
+        assert trees[0] == trees[1], src
+        for dst in names:
+            assert shared.route(src, dst, link_values, value) == \
+                fresh.route(src, dst, link_values, value), (src, dst)
+            assert shared.route(src, dst, link_values, value,
+                                value_links) == fresh.route(
+                src, dst, link_values, value, value_links), (src, dst)
+            assert shared.hops(src, dst) == fresh.hops(src, dst)
+    assert shared.fast_hits == fresh.fast_hits
+
+
+def test_fabric_signature_tracks_what_routing_reads():
+    base = topologies.softbrain()
+    signature = router.fabric_signature(base)
+    assert router.fabric_signature(base.clone()) == signature
+
+    def edited(edit):
+        adg = base.clone()
+        edit(adg)
+        return router.fabric_signature(adg)
+
+    pe = base.pes()[0].name
+    switch = base.switches()[0].name
+    assert edited(lambda adg: adg.remove_link(adg.links()[7].link_id)) \
+        != signature
+    assert edited(lambda adg: adg.remove(pe)) != signature
+    assert edited(lambda adg: setattr(adg.node(switch), "flop_output",
+                                      False)) != signature
+    # What routing does not read leaves it alone.
+    assert edited(lambda adg: adg.node(pe).op_names.add("fdiv")) \
+        == signature
+    with_fifo = base.clone()
+    fifo = with_fifo.add(DelayFifo(name="fifo0", depth=4))
+    with_fifo.connect(switch, fifo.name)
+    before = router.fabric_signature(with_fifo)
+    assert before != signature
+    fifo.depth = 16
+    assert router.fabric_signature(with_fifo) == before
+
+
+def test_shared_tables_keep_few_fabrics():
+    base = topologies.softbrain()
+    for index in range(router.SHARED_FABRICS + 3):
+        adg = base.clone()
+        adg.remove_link(adg.links()[index].link_id)
+        RoutingGraph(adg).hops("in0", "pe_0_0")
+    assert len(router._SHARED_TABLES) == router.SHARED_FABRICS
+
+
+def test_path_latency_graph_builds_no_tables(monkeypatch):
+    """The simulator builds a graph per replay only for path_latency:
+    timing a schedule must not compute a signature or build tables."""
+    adg = topologies.softbrain()
+    sched, cost = SpatialScheduler(adg, max_iters=40).schedule(dot_scope())
+    assert cost.is_legal
+
+    def no_signature(adg):
+        raise AssertionError("signature computed")
+
+    monkeypatch.setattr(router, "fabric_signature", no_signature)
+    sched.rebind(adg)  # every region re-timed, every route's latency read
+    graph = RoutingGraph(adg)
+    timing = compute_timing(sched, graph)
+    assert timing.regions["dot"].latency > 0
+    assert graph._link_latency
+    assert graph._tables is None
 
 
 class TestSchedule:

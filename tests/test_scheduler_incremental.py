@@ -13,7 +13,9 @@ tests for the two move-operator bugs fixed in the same change
 `_reroute_congested` losing a route when an endpoint went unplaced).
 """
 
+import gc
 import pickle
+import weakref
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from repro.adg.components import (
     SyncElement,
 )
 from repro.ir import ConfigScope, Dfg, LinearStream, OffloadRegion
+from repro.ir.dfg import NodeKind
 from repro.ir.stream import RecurrenceStream, StreamDirection
 from repro.scheduler import RoutingGraph, Schedule, SpatialScheduler
 from repro.scheduler import stochastic as stochastic_mod
@@ -182,6 +185,22 @@ class TestIncrementalCounters:
         assert sched.placement
         assert_counters_match_oracles(sched)
         assert_counters_match_oracles(twin)
+
+    def test_schedules_freed_without_cycle_collection(self):
+        """A schedule is no reference cycle: it is freed as soon as its
+        last reference goes, not when the cyclic collector next runs
+        (garbage schedules piling up between collections raised peak
+        memory)."""
+        adg = topologies.softbrain()
+        sched, _ = SpatialScheduler(adg, max_iters=30).schedule(dot_scope())
+        twin = sched.clone()
+        refs = [weakref.ref(sched), weakref.ref(twin)]
+        gc.disable()
+        try:
+            del sched, twin
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_pickle_roundtrip_preserves_counters(self):
         adg = topologies.softbrain()
@@ -727,6 +746,174 @@ class TestMoveOperatorBugfixes:
                     scheduler._reroute_congested(sched)
                     assert len(sched.routes) == routed_before
         assert_counters_match_oracles(sched)
+
+
+# SpatialScheduler._pick_victim before victim choice read the live
+# counters, verbatim: the oracle for the counter-driven victim pool.
+def _pick_victim_oracle(self, sched):
+    """Prefer vertices that contribute to cost: unplaced ones, those
+    on overused resources, then anything."""
+    unplaced = sched.unplaced_vertices()
+    if unplaced:
+        return self.rng.choice(unplaced)
+    overused = []
+    pe_load = sched.pe_load()
+    port_load = sched.port_load()
+    for vertex, hw_name in sched.placement.items():
+        node = sched.node_of(vertex)
+        if node.kind is NodeKind.INSTR:
+            hw = sched.adg.node(hw_name)
+            capacity = getattr(hw, "max_instructions", 1)
+            if pe_load.get(hw_name, 0) > capacity:
+                overused.append(vertex)
+        elif port_load.get(hw_name, 0) > 1:
+            overused.append(vertex)
+    link_load = sched.link_load()
+    hot_links = {
+        link_id for link_id, load in link_load.items() if load > 1
+    }
+    for edge, links in sched.routes.items():
+        if any(link_id in hot_links for link_id in links):
+            if edge.dst in sched.placement:
+                overused.append(edge.dst)
+    # Execution-model flow violations (Section III-B): either endpoint
+    # of a static->dynamic or dedicated->shared edge is a good victim.
+    from repro.adg.components import ProcessingElement as _PE
+
+    for edge in sched.edges():
+        src_hw = sched.placement.get(edge.src)
+        dst_hw = sched.placement.get(edge.dst)
+        if src_hw is None or dst_hw is None:
+            continue
+        src_node = sched.adg.node(src_hw)
+        dst_node = sched.adg.node(dst_hw)
+        if not (isinstance(src_node, _PE) and isinstance(dst_node, _PE)):
+            continue
+        if (not src_node.is_dynamic and dst_node.is_dynamic) or (
+            not src_node.is_shared and dst_node.is_shared
+        ):
+            overused.append(edge.src)
+            overused.append(edge.dst)
+    unrouted = [
+        edge.src for edge in sched.edges()
+        if edge not in sched.routes and edge.src in sched.placement
+    ]
+    pool = overused or unrouted
+    if pool:
+        return self.rng.choice(pool)
+    everything = [v for v in sched.vertices() if v in sched.placement]
+    return self.rng.choice(everything) if everything else None
+
+
+class _RecordingRng:
+    """A rng that records each sequence it is asked to choose from."""
+
+    def __init__(self, seed):
+        self.rng = DeterministicRng(seed)
+        self.pools = []
+
+    def choice(self, sequence):
+        self.pools.append(list(sequence))
+        return self.rng.choice(sequence)
+
+
+class _OracleScheduler:
+    def __init__(self, seed):
+        self.rng = _RecordingRng(seed)
+
+
+def random_victim_state(seed):
+    """A schedule, mostly on :func:`mixed_fabric`, with random placements
+    (PEs and sync elements over capacity, flow-violating edges), random
+    routes (links carrying several values) and, sometimes, unplaced
+    vertices or unrouted edges — or, spread out, no overuse at all."""
+    rng = DeterministicRng(("victims", seed))
+    # Plain softbrain (no flow violations) lets the later pools show;
+    # a static fabric with shared PEs has only dedicated->shared ones.
+    fabric = rng.choice(["mixed", "mixed", "shared", "plain"])
+    adg = mixed_fabric() if fabric == "mixed" else topologies.softbrain()
+    if fabric == "shared":
+        for pe in adg.pes()[::3]:
+            pe.resourcing = Resourcing.SHARED
+            pe.max_instructions = 4
+    sched = Schedule(two_region_scope(), adg)
+    pes = rng.shuffle([pe.name for pe in adg.pes()])
+    syncs = rng.shuffle([sync.name for sync in adg.sync_elements()])
+    link_ids = rng.shuffle([link.link_id for link in adg.links()])
+    # Spread resources take one vertex per hw node or one route per
+    # link: no overuse of that kind.
+    spread_pes, spread_syncs, spread_links = (
+        rng.accept(0.4) for _ in range(3))
+    if not spread_pes:
+        pes = pes[:rng.randint(1, len(pes))]
+    if not spread_syncs:
+        syncs = syncs[:rng.randint(1, len(syncs))]
+    if not spread_links:
+        link_ids = link_ids[:rng.randint(3, 60)]
+    keep_unplaced = rng.accept(0.2)
+    for vertex in sched.vertices():
+        if keep_unplaced and rng.accept(0.2):
+            continue
+        if sched.node_of(vertex).kind is NodeKind.INSTR:
+            pool, spread = pes, spread_pes
+        else:
+            pool, spread = syncs, spread_syncs
+        sched.place(vertex, pool.pop() if spread else rng.choice(pool))
+    route_share = rng.choice([0.0, 0.5, 1.0])
+    for edge in sched.edges():
+        if rng.accept(route_share):
+            hops = rng.randint(1, 3)
+            if spread_links:
+                sched.set_route(edge, [link_ids.pop() for _ in range(hops)])
+            else:
+                sched.set_route(edge, rng.sample(link_ids, hops))
+    return adg, sched
+
+
+class TestVictimPool:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), draw=st.integers(0, 10 ** 6))
+    def test_pool_and_draw_match_oracle(self, seed, draw):
+        adg, sched = random_victim_state(seed)
+        oracle = _OracleScheduler(("draw", draw))
+        expected = _pick_victim_oracle(oracle, sched)
+        scheduler = SpatialScheduler(adg,
+                                     rng=DeterministicRng(("draw", draw)))
+        pool = scheduler._victim_pool(sched)
+        if expected is None:
+            assert pool == [] and oracle.rng.pools == []
+        else:
+            assert oracle.rng.pools == [pool]
+        assert scheduler._pick_victim(sched) == expected
+        # Same again from the scheduler's cached PE flags.
+        assert scheduler._victim_pool(sched) == pool
+
+    def test_states_cover_every_pool(self):
+        """The random states reach each source of the pool: unplaced
+        vertices, PE, port and link overuse each alone, flow violations
+        alone, unrouted edges and, failing all of them, every placed
+        vertex."""
+        kinds = set()
+        for seed in range(200):
+            _adg, sched = random_victim_state(seed)
+            oracle = _OracleScheduler(seed)
+            _pick_victim_oracle(oracle, sched)
+            overuse = sched.overuse()
+            kinds.update(kind + " alone" for kind in ("pe", "port", "link")
+                         if overuse[kind] == sum(overuse.values()) > 0)
+            unrouted = [edge.src for edge in sched.unrouted_edges()
+                        if edge.src in sched.placement]
+            pool = oracle.rng.pools[0]
+            if pool == sched.unplaced_vertices():
+                kinds.add("unplaced")
+            elif not any(overuse.values()) and pool != unrouted:
+                kinds.add("flow only")
+            elif pool == unrouted:
+                kinds.add("unrouted")
+            elif not unrouted:
+                kinds.add("everything")
+        assert kinds == {"unplaced", "pe alone", "port alone", "link alone",
+                         "flow only", "unrouted", "everything"}
 
 
 class TestSchedulerTelemetry:
