@@ -84,32 +84,54 @@ class JobSpec:
         return cls(**record)
 
 
+def _preset_factory(name):
+    from repro.adg import topologies
+
+    try:
+        return topologies.PRESETS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown preset {name!r}; one of "
+            f"{sorted(topologies.PRESETS)}"
+        )
+
+
 def resolve_adg(spec):
     """The target ADG for a spec: the inline dict if given, else the
     named preset."""
-    from repro.adg import topologies
     from repro.adg.serialize import adg_from_dict
 
     if spec.adg is not None:
         return adg_from_dict(spec.adg)
-    try:
-        factory = topologies.PRESETS[spec.preset]
-    except KeyError:
-        raise ValueError(
-            f"unknown preset {spec.preset!r}; one of "
-            f"{sorted(topologies.PRESETS)}"
-        )
-    return factory()
+    return _preset_factory(spec.preset)()
+
+
+#: Per-process fingerprints of preset fabrics, keyed by the factory
+#: object rather than the preset name, so a replaced ``PRESETS`` entry
+#: never reuses the fingerprint of the fabric it replaced.
+_preset_fingerprints = {}
+
+
+def _adg_fingerprint(spec):
+    from repro.harness.compile_cache import adg_fingerprint
+
+    if spec.adg is not None:
+        return adg_fingerprint(resolve_adg(spec))
+    factory = _preset_factory(spec.preset)
+    fingerprint = _preset_fingerprints.get(factory)
+    if fingerprint is None:
+        fingerprint = adg_fingerprint(factory())
+        _preset_fingerprints[factory] = fingerprint
+    return fingerprint
 
 
 def job_key(spec):
     """The canonical store key of a cacheable job: every field the
-    artifact depends on, none of the scheduling metadata."""
-    from repro.harness.compile_cache import adg_fingerprint
-
+    artifact depends on, none of the scheduling metadata. A preset's
+    fabric is fingerprinted once per process; an inline ``adg`` on
+    every call."""
     return canonical_dumps([
-        "job", JOB_KEY_VERSION, spec.kind,
-        adg_fingerprint(resolve_adg(spec)),
+        "job", JOB_KEY_VERSION, spec.kind, _adg_fingerprint(spec),
         spec.workload, spec.scale, spec.seed, spec.sched_iters,
         spec.attempts, spec.sim_engine,
         {k: spec.options[k] for k in sorted(spec.options)},
@@ -393,7 +415,7 @@ def artifact_digest(artifact):
 
 
 def _vertex_name(vertex):
-    # Scheduler vertices are frozen dataclasses with a stable
+    # Scheduler vertices are immutable slotted keys with a stable
     # ``region#node_id`` repr.
     return repr(vertex)
 

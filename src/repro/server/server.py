@@ -21,7 +21,9 @@ Scheduling:
 * **Cache fast path** — admissions look the job key up in the store
   first; a hit completes the job immediately, never touching the
   queue, so warm requests cost one socket round-trip plus one store
-  read.
+  read. A key's artifact never changes, so recent hits on one key
+  share a single base64 pickle and digest of it: a hit neither
+  re-encodes the artifact nor holds a copy of its own.
 * **Coalescing** — a submit whose key is already queued/running
   attaches to the in-flight job instead of duplicating the work.
 * **Idempotent retries (nonces)** — a ``submit``/``run`` may carry a
@@ -87,6 +89,8 @@ __all__ = ["CompileServer", "BackgroundServer", "serve"]
 _PROTOCOL_VERSION = 1
 #: Completed jobs kept around for late ``wait``/``result`` queries.
 _COMPLETED_RETENTION = 1024
+#: Keys whose encoded artifact (base64 pickle, digest) hits share.
+_HIT_ENCODING_RETENTION = 64
 #: Client nonces remembered for idempotent-retry attachment.
 _NONCE_RETENTION = 4096
 #: Journal file name, resolved inside the store root.
@@ -117,6 +121,12 @@ class _Job:
         self.record = None
         self.nonce = None
         self.journaled = False
+
+
+def _encode_artifact(artifact):
+    """The wire form of an artifact: ``(base64 pickle, digest)``."""
+    return (base64.b64encode(pickle.dumps(artifact, protocol=4))
+            .decode("ascii"), artifact_digest(artifact))
 
 
 class CompileServer:
@@ -154,6 +164,7 @@ class CompileServer:
         self._inflight = {}        # key -> _Job, for coalescing
         self._tenant_load = {}     # tenant -> queued+running count
         self._nonces = OrderedDict()      # nonce -> job_id (bounded)
+        self._hit_encodings = OrderedDict()  # key -> (b64, digest)
         self._queued = 0           # jobs waiting in shard queues
         self._service_ewma = None  # observed seconds per computed job
         self._shard_queues = []    # per shard: heap of (pri, seq, job)
@@ -164,6 +175,7 @@ class CompileServer:
             max_workers=1, thread_name_prefix="repro-serial"
         )
         self._shutdown = None      # asyncio.Event once started
+        self._handlers = set()     # one task per open connection
 
     # -- lifecycle -----------------------------------------------------
     def _shard_count(self):
@@ -202,6 +214,14 @@ class CompileServer:
         self._shutdown.set()
         if self._tcp_server is not None:
             self._tcp_server.close()
+            # End every connection first: from Python 3.12 on,
+            # wait_closed() waits for open ones, and a handler still
+            # pending is destroyed when the loop closes. Each handler
+            # closes its writer on the way out.
+            handlers = list(self._handlers)
+            for task in handlers:
+                task.cancel()
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._tcp_server.wait_closed()
         for task in self._shard_tasks:
             task.cancel()
@@ -335,6 +355,15 @@ class CompileServer:
         self._enqueue(job)
         self._incr("server_enqueued")
         return job
+
+    def _hit_encoding(self, key, artifact):
+        encoded = self._hit_encodings.pop(key, None)
+        if encoded is None:
+            encoded = _encode_artifact(artifact)
+        self._hit_encodings[key] = encoded
+        while len(self._hit_encodings) > _HIT_ENCODING_RETENTION:
+            self._hit_encodings.popitem(last=False)
+        return encoded
 
     def _enqueue(self, job):
         spec = job.spec
@@ -548,10 +577,10 @@ class CompileServer:
         if extra:
             record.update(extra)
         if artifact is not None or job.state == "done":
-            record["artifact_b64"] = base64.b64encode(
-                pickle.dumps(artifact, protocol=4)
-            ).decode("ascii")
-            record["digest"] = artifact_digest(artifact)
+            record["artifact_b64"], record["digest"] = (
+                self._hit_encoding(job.key, artifact) if job.cached
+                else _encode_artifact(artifact)
+            )
         job.record = record
         if not job.cached and job.state in ("done", "failed") \
                 and seconds > 0:
@@ -600,6 +629,7 @@ class CompileServer:
 
     # -- protocol ------------------------------------------------------
     async def _handle_connection(self, reader, writer):
+        self._handlers.add(asyncio.current_task())
         try:
             while True:
                 line = await reader.readline()
@@ -620,9 +650,12 @@ class CompileServer:
                 writer.write(json.dumps(response, default=str)
                              .encode() + b"\n")
                 await writer.drain()
-        except (ConnectionResetError, asyncio.IncompleteReadError):
+        except (ConnectionResetError, asyncio.IncompleteReadError,
+                asyncio.CancelledError):
+            # Cancelled only by stop(): end like a closed connection.
             pass
         finally:
+            self._handlers.discard(asyncio.current_task())
             try:
                 writer.close()
                 await writer.wait_closed()

@@ -30,6 +30,7 @@ from repro.server import (
     job_key,
     parse_address,
 )
+from repro.server import server as server_module
 from repro.server.client import RetryPolicy
 from repro.server.journal import JobJournal, verify_journal
 from repro.server.server import JOURNAL_BASENAME
@@ -429,6 +430,29 @@ class TestServedEqualsDirect:
         warm = service.run(_spec("compile"))
         assert warm["cached"]
         assert warm["digest"] == cold["digest"]
+
+    def test_hits_share_one_encoding(self, tmp_path, monkeypatch):
+        """Hits on one key reuse one encoded artifact (no re-pickle per
+        hit, no copy per retained record); the encodings kept are
+        bounded by key."""
+        monkeypatch.setattr(server_module, "_HIT_ENCODING_RETENTION", 1)
+        with BackgroundServer(str(tmp_path / "s"), workers=0) as bg:
+            with ServerClient(*bg.address) as client:
+                cold = client.run(_spec("compile"))
+                hits = [client.run(_spec("compile")) for _ in range(3)]
+                client.run(_spec("compile", seed=SEED + 1))
+                client.run(_spec("compile", seed=SEED + 1))
+            records = [job.record for job in bg.server._completed.values()
+                       if job.record["cached"]]
+            retained = list(bg.server._hit_encodings)
+        assert all(hit["cached"] for hit in hits)
+        assert {hit["digest"] for hit in hits} == {cold["digest"]}
+        assert decode_artifact(hits[0]).params.describe() \
+            == decode_artifact(cold).params.describe()
+        assert len(records) == 4
+        assert all(record["artifact_b64"] is records[0]["artifact_b64"]
+                   for record in records[:3])
+        assert retained == [job_key(_spec("compile", seed=SEED + 1))]
 
     def test_simulate_job_matches_direct_sim(self, service):
         record = service.run(_spec("simulate"))

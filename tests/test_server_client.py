@@ -2,6 +2,8 @@
 breaker, per-op deadlines, the reconnect path, and the unknown-job
 protocol edges."""
 
+import asyncio
+import gc
 import json
 import socket
 import threading
@@ -308,6 +310,36 @@ class TestProtocolEdges:
                                options={"duration": 2.0})
                 with pytest.raises(ServerTimeout):
                     client.run(slow, deadline=0.3)
+
+    def test_stop_with_open_connections(self, tmp_path, caplog):
+        """``stop()`` must not wait on clients left connected (Python
+        3.12's ``wait_closed`` does) nor leave their handler tasks
+        pending at loop close — an idle client and one whose ``run``
+        is still waiting on a job."""
+        bg = BackgroundServer(str(tmp_path / "s"), workers=0)
+        idle = ServerClient(*bg.address)
+        idle.ping()
+        waiting = socket.create_connection(bg.address, timeout=5)
+        waiting.sendall(json.dumps({
+            "op": "run",
+            "job": JobSpec(kind="noop", options={"duration": 2.0})
+            .to_dict(),
+        }).encode() + b"\n")
+        for _ in range(100):
+            if bg.server.counters.get("server_enqueued"):
+                break
+            time.sleep(0.01)
+        try:
+            start = time.perf_counter()
+            bg.stop(timeout=5)
+            assert time.perf_counter() - start < 1.0
+            assert not bg._thread.is_alive()
+            assert not asyncio.all_tasks(bg._loop)
+            gc.collect()
+            assert "Task was destroyed" not in caplog.text
+        finally:
+            idle.close()
+            waiting.close()
 
     def test_torn_frame_is_dropped_not_executed(self, tmp_path):
         """A request frame missing its newline must never execute."""
