@@ -7,11 +7,14 @@
   outputs).
 * :mod:`repro.dse.objective` — the perf^2/mm^2 co-design objective with
   hard area/power budgets.
-* :mod:`repro.dse.explorer` — the generational loop: mutate a batch of
-  candidates (a surrogate-ranked wide generation under the default
-  ``multi`` fidelity), repair every kernel's schedule on each finalist
-  (Section V-A), estimate — optionally across a process pool with a
-  seed-deterministic trajectory — and accept the best improvement.
+* :mod:`repro.dse.funnel` — the generation funnel both explorers run:
+  mutate a batch of candidates (a surrogate-ranked wide generation
+  under the default ``multi`` fidelity), evaluate the finalists —
+  optionally across a process pool with a seed-deterministic
+  trajectory — accept the best improvement, checkpoint and resume.
+* :mod:`repro.dse.explorer` — the single-fabric explorer: candidates
+  are mutated ADGs, and every kernel's schedule is repaired on each
+  finalist (Section V-A).
 * :mod:`repro.dse.compose` — merged & multi-accelerator synthesis:
   partitions a kernel set into clusters served by capability-union
   fabrics and explores merged vs. partitioned vs. per-kernel
@@ -23,8 +26,8 @@
 
 from repro.dse.mutation import MUTATIONS, AdgMutator, sample_generation
 from repro.dse.objective import DseObjective
+from repro.dse.funnel import DSE_FIDELITIES
 from repro.dse.explorer import (
-    DSE_FIDELITIES,
     DesignSpaceExplorer,
     DseHistoryEntry,
     DseResult,

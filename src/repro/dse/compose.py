@@ -18,39 +18,39 @@ strict perf^2/mm^2 improvements, where area is the *sum* over cluster
 fabrics and performance is the geomean slowdown-free speedup against the
 specialized-fabric baseline cycles.
 
-Machinery reused from the single-fabric explorer, with the same
-contracts:
-
-* **warm starts** — each kernel's specialized schedule is translated
-  onto its cluster fabric through the merge node map
-  (:mod:`repro.scheduler.warmstart`) and repaired, not remapped;
-* **multi-fidelity funnel** — the online surrogate ranks a widened
-  generation on summed cluster-fabric features, the analytical
-  area/power model filters against the budget, and only finalists pay
-  for compilation;
-* **determinism** — candidate seeds are keyed (``spawn("ceval", it,
-  idx)``), acceptance is candidate-index-ordered, the surrogate trains
-  only in the main process: ``workers=N`` is bit-identical to
-  ``workers=1``, and checkpoint/resume round-trips the trajectory.
+The search itself is the generation funnel of :mod:`repro.dse.funnel`,
+the same one :class:`repro.dse.explorer.DesignSpaceExplorer` runs: a
+merged or partitioned fabric set is one more kind of candidate, not a
+second search. :class:`CompositionExplorer` is the funnel's adapter for
+partitions — the surrogate ranks a widened generation on summed
+cluster-fabric features, the analytical model filters on summed
+cluster-fabric area/power, and evaluation seeds are keyed
+``spawn("ceval", iteration, index)`` — so it inherits the funnel's
+contracts: ``workers=N`` is bit-identical to ``workers=1``, and
+checkpoint/resume round-trips the trajectory. To evaluate a finalist, a
+worker translates each kernel's specialized schedule onto its cluster
+fabric through the merge node map (:mod:`repro.scheduler.warmstart`)
+and repairs it, rather than remapping from scratch.
 """
 
-import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.adg import topologies
 from repro.adg.features import graph_feature_vector
 from repro.adg.merge import merge_all
 from repro.compiler.pipeline import compile_kernel
+from repro.dse.funnel import (
+    GenerationFunnel,
+    SearchState,
+    estimate_fabrics,
+    evaluate_finalist,
+    funnel_knobs,
+)
 from repro.dse.mutation import trim_unused_features
-from repro.dse.objective import DseObjective
-from repro.dse.explorer import resolve_fidelity
-from repro.errors import DsagenError, DseError
+from repro.errors import DseError
 from repro.estimation.power_area import default_model
-from repro.estimation.surrogate import SurrogateModel
 from repro.scheduler.warmstart import translate_warm_schedules
-from repro.utils import checkpoint
-from repro.utils.pool import ForkPool
 from repro.utils.rng import DeterministicRng
 from repro.utils.telemetry import Telemetry
 
@@ -217,51 +217,14 @@ class ComposeTask:
     seed: object
 
 
-@dataclass
-class ComposeOutcome:
-    """Worker result for one composition candidate."""
-
-    index: int
-    iteration: int
-    ok: bool
-    partition: tuple = ()
-    area: float = 0.0
-    power: float = 0.0
-    cycles: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    reason: str = ""
-    stage_seconds: dict = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
-
-
 def _evaluate_composition(task, ctx):
-    """Warm-start + compile every kernel on its cluster fabric.
+    """Warm-start + compile every kernel on its cluster fabric (the
+    worker half of :func:`repro.dse.funnel.evaluate_finalist`)."""
 
-    Pure in ``(task, context)``: the serial path and the process-pool
-    path are interchangeable. All framework errors fold into a failed
-    outcome so one bad composition never aborts its generation.
-    """
-    stage = {}
-    counters = {"compose_evaluated": 1}
-    start = time.perf_counter()
-    area = power = 0.0
-    for fabric in task.fabrics:
-        fabric_area, fabric_power = ctx.area_power.estimate(fabric)
-        area += fabric_area
-        power += fabric_power
-    stage["estimate"] = time.perf_counter() - start
-    if area > ctx.area_budget_mm2 or power > ctx.power_budget_mw:
-        counters["compose_over_budget"] = 1
-        return ComposeOutcome(
-            index=task.index, iteration=task.iteration, ok=False,
-            partition=task.partition, area=area, power=power,
-            reason="over-budget", stage_seconds=stage, counters=counters,
-        )
-    rng = DeterministicRng(task.seed)
-    cycles = {}
-    results = {}
-    start = time.perf_counter()
-    try:
+    def compile_all(rng, outcome):
+        counters = outcome.counters
+        cycles = {}
+        results = {}
         for cluster, fabric, maps in zip(
             task.partition, task.fabrics, task.node_maps
         ):
@@ -285,41 +248,15 @@ def _evaluate_composition(task, ctx):
                     initial_schedules=warm.get(kernel_name),
                 )
                 if not result.ok:
-                    stage["compile"] = time.perf_counter() - start
-                    counters["compose_failed"] = 1
-                    return ComposeOutcome(
-                        index=task.index, iteration=task.iteration,
-                        ok=False, partition=task.partition, area=area,
-                        power=power,
-                        reason=f"no-legal-mapping:{kernel_name}",
-                        stage_seconds=stage, counters=counters,
-                    )
+                    return f"no-legal-mapping:{kernel_name}"
                 cycles[kernel_name] = result.perf.cycles
                 results[kernel_name] = result
-    except DsagenError as exc:
-        stage["compile"] = time.perf_counter() - start
-        counters["compose_failed"] = 1
-        return ComposeOutcome(
-            index=task.index, iteration=task.iteration, ok=False,
-            partition=task.partition, area=area, power=power,
-            reason=f"error: {exc}", stage_seconds=stage,
-            counters=counters,
-        )
-    stage["compile"] = time.perf_counter() - start
-    return ComposeOutcome(
-        index=task.index, iteration=task.iteration, ok=True,
-        partition=task.partition, area=area, power=power,
-        cycles=cycles, results=results, stage_seconds=stage,
-        counters=counters,
-    )
+        outcome.cycles = cycles
+        outcome.results = results
+        return None
 
-
-def _worker_failed(task):
-    """A composition whose in-process retry also died: rejected."""
-    return ComposeOutcome(
-        index=task.index, iteration=task.iteration, ok=False,
-        partition=task.partition, reason="worker-failed",
-        counters={"compose_evaluated": 1, "compose_failed": 1},
+    return evaluate_finalist(
+        task, ctx, CompositionExplorer.COUNTERS, task.fabrics, compile_all
     )
 
 
@@ -363,8 +300,16 @@ class ComposeResult:
 # The explorer
 # ---------------------------------------------------------------------------
 
-class CompositionExplorer:
+class CompositionExplorer(GenerationFunnel):
     """Searches kernel-to-fabric compositions under a shared budget."""
+
+    COUNTERS = "compose"
+    FILTER_COUNTERS = "compose"
+    RUN = "compose"
+    SEED_KEY = "ceval"
+    GENERATION_EVENT = "compose_generation"
+    RESUME_EVENT = "compose_resume"
+    CHECKPOINT_VERSION = COMPOSE_CHECKPOINT_VERSION
 
     def __init__(
         self,
@@ -384,31 +329,17 @@ class CompositionExplorer:
     ):
         if not specialized:
             raise DseError("composition needs at least one kernel")
+        super().__init__(
+            rng or DeterministicRng("compose"), area_budget_mm2,
+            power_budget_mw, area_power_model, workers, telemetry,
+            eval_timeout, fidelity, surrogate_top, surrogate_widen,
+            recalibrate_every,
+        )
         self.specialized = dict(specialized)
-        self.rng = rng or DeterministicRng("compose")
-        fidelity = resolve_fidelity(fidelity)
-        self.fidelity = fidelity
-        self.surrogate_top = (
-            int(surrogate_top) if surrogate_top is not None else None
-        )
-        self.surrogate_widen = int(surrogate_widen)
-        self.recalibrate_every = int(recalibrate_every)
-        self.surrogate = (
-            SurrogateModel(recalibrate_every=self.recalibrate_every)
-            if fidelity == "multi" else None
-        )
         self.sched_iters = int(sched_iters)
-        self.area_power = area_power_model or default_model()
-        self.objective = DseObjective(
-            area_budget_mm2=area_budget_mm2,
-            power_budget_mw=power_budget_mw,
-        )
         self.objective.set_baseline({
             name: spec.cycles for name, spec in self.specialized.items()
         })
-        self.workers = max(1, int(workers))
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.eval_timeout = eval_timeout
         self._fabric_cache = {}  # cluster tuple -> (fabric, {k: node_map})
 
     # ------------------------------------------------------------------
@@ -430,16 +361,6 @@ class CompositionExplorer:
         self.telemetry.incr("compose_fabric_merges")
         return entry
 
-    def _materialize(self, partition):
-        """(fabrics, node_maps) for every cluster of ``partition``."""
-        fabrics = []
-        node_maps = []
-        for cluster in partition:
-            fabric, maps = self.cluster_fabric(cluster)
-            fabrics.append(fabric)
-            node_maps.append(maps)
-        return fabrics, node_maps
-
     def _context(self):
         return ComposeContext(
             specialized=self.specialized,
@@ -450,55 +371,50 @@ class CompositionExplorer:
         )
 
     # ------------------------------------------------------------------
-    def _composition_features(self, partition):
-        """Surrogate features: elementwise sum of cluster-fabric graph
-        features (composition size shows up as scaled counts)."""
-        total = None
-        for cluster in partition:
-            fabric, _ = self.cluster_fabric(cluster)
-            vector = graph_feature_vector(fabric)
-            if total is None:
-                total = list(vector)
-            else:
-                total = [a + b for a, b in zip(total, vector)]
-        return total
+    # Candidate adapter (see repro.dse.funnel): a candidate is a
+    # partition, served by one merged fabric per cluster.
+    # ------------------------------------------------------------------
+    def _features(self, partition):
+        """Elementwise sum of cluster-fabric graph features
+        (composition size shows up as scaled counts)."""
+        vectors = [
+            graph_feature_vector(self.cluster_fabric(cluster)[0])
+            for cluster in partition
+        ]
+        return [sum(column) for column in zip(*vectors)]
 
-    def _select_finalists(self, candidates, finalists):
-        """Surrogate rank + analytical budget filter (main process only;
-        mirrors ``DesignSpaceExplorer._select_finalists``)."""
-        telemetry = self.telemetry
-        telemetry.incr("compose_considered", len(candidates))
-        if self.surrogate is None:
-            return list(range(len(candidates))), None, None
-        with telemetry.timer("surrogate"):
-            features = [
-                self._composition_features(partition)
-                for partition, _ in candidates
-            ]
-            predictions = [
-                self.surrogate.predict(vector) for vector in features
-            ]
-            order = SurrogateModel.rank(predictions)
-            telemetry.incr("surrogate_scored", len(candidates))
-        chosen = []
-        with telemetry.timer("analytical_filter"):
-            for src in order:
-                if len(chosen) >= finalists:
-                    break
-                area = power = 0.0
-                for cluster in candidates[src][0]:
-                    fabric, _ = self.cluster_fabric(cluster)
-                    fabric_area, fabric_power = \
-                        self.area_power.estimate(fabric)
-                    area += fabric_area
-                    power += fabric_power
-                if (area > self.objective.area_budget_mm2
-                        or power > self.objective.power_budget_mw):
-                    telemetry.incr("compose_analytical_rejected")
-                    continue
-                chosen.append(src)
-        telemetry.incr("compose_finalists", len(chosen))
-        return chosen, features, predictions
+    def _estimate(self, partition):
+        return estimate_fabrics(self.area_power, [
+            self.cluster_fabric(cluster)[0] for cluster in partition
+        ])
+
+    def _task(self, index, iteration, partition, seed, state):
+        fabrics, node_maps = zip(*map(self.cluster_fabric, partition))
+        return ComposeTask(
+            index=index, iteration=iteration, partition=partition,
+            fabrics=list(fabrics), node_maps=list(node_maps), seed=seed,
+        )
+
+    def _record(self, result, partition, mutations, outcome, score,
+                accepted):
+        strategy = partition_strategy(partition)
+        if score > result.strategy_best.get(strategy, float("-inf")):
+            result.strategy_best[strategy] = score
+        result.history.append(ComposeHistoryEntry(
+            iteration=outcome.iteration, partition=partition,
+            strategy=strategy, area_mm2=outcome.area,
+            power_mw=outcome.power, objective=score, accepted=accepted,
+            mutations=mutations, candidate=outcome.index,
+        ))
+
+    def _accepted(self, result, partition, outcome):
+        result.best_partition = partition
+        result.kernel_cycles = outcome.cycles
+
+    def _checkpoint_state(self, state):
+        result = state.result
+        return {}, (result.best_partition, self.surrogate,
+                    dict(result.strategy_best), dict(result.kernel_cycles))
 
     def _sample_generation(self, incumbent, width, iteration):
         """Width keyed partition mutations of the incumbent, deduped
@@ -533,132 +449,63 @@ class CompositionExplorer:
             finalists * self.surrogate_widen
             if self.fidelity == "multi" else finalists
         )
-        patience = patience if patience is not None else max_iters
-        checkpoint_every = max(1, int(checkpoint_every))
         telemetry = self.telemetry
         run_start = time.perf_counter()
         names = tuple(sorted(self.specialized))
 
-        saved = None
-        if resume and checkpoint_path and os.path.exists(checkpoint_path):
-            saved = checkpoint.read(
-                checkpoint_path, COMPOSE_CHECKPOINT_VERSION, self._pins()
-            )
-
+        saved = self._read_checkpoint(checkpoint_path, resume)
         context = self._context()
-        result = None
         if saved is not None:
             (best_partition, saved_surrogate, strategy_best,
              kernel_cycles) = saved["state"]
-            if self.surrogate is not None:
-                self.surrogate = saved_surrogate
-            best_score = saved["best_objective"]
             result = ComposeResult(
                 best_partition=best_partition,
-                best_objective=best_score,
+                best_objective=saved["best_objective"],
                 area_budget_mm2=self.objective.area_budget_mm2,
+                history=[
+                    ComposeHistoryEntry(**{
+                        **entry,
+                        "partition": canonical_partition(
+                            entry["partition"]
+                        ),
+                    })
+                    for entry in saved["history"]
+                ],
                 strategy_best=strategy_best,
                 kernel_cycles=kernel_cycles,
             )
-            result.history = [
-                ComposeHistoryEntry(**{
-                    **entry,
-                    "partition": canonical_partition(entry["partition"]),
-                })
-                for entry in saved["history"]
-            ]
-            stale = saved["stale"]
-            start_iteration = saved["iteration"] + 1
-            telemetry.incr("compose_resumes")
-            telemetry.event({
-                "type": "compose_resume",
-                "iteration": saved["iteration"],
-                "objective": best_score, "workers": workers,
-            })
+            state = self._resumed(
+                saved, result, best_partition, saved_surrogate,
+                workers=workers,
+            )
         else:
-            stale = 0
-            start_iteration = 1
-            best_partition = None
-            best_score = float("-inf")
+            result = ComposeResult(
+                best_partition=None,
+                best_objective=float("-inf"),
+                area_budget_mm2=self.objective.area_budget_mm2,
+            )
+            state = SearchState(result, None)
 
-        def save(iteration):
-            checkpoint.write(checkpoint_path, {
-                "version": COMPOSE_CHECKPOINT_VERSION,
-                **self._pins(),
-                "iteration": iteration,
-                "stale": stale,
-                "best_objective": best_score,
-                "history": [asdict(entry) for entry in result.history],
-            }, (result.best_partition, self.surrogate,
-                dict(result.strategy_best), dict(result.kernel_cycles)))
-            telemetry.incr("compose_checkpoints_written")
-
-        last_iteration = start_iteration - 1
-        with ForkPool(
-            _evaluate_composition, context, workers, telemetry.incr,
-            "compose", failed=_worker_failed,
-            eval_timeout=self.eval_timeout,
-        ) as pool:
+        with self._pool(_evaluate_composition, context, workers) as pool:
             if saved is None:
-                seeds = [canonical_partition([names])]
-                per_kernel = canonical_partition(
-                    [[name] for name in names]
-                )
-                if per_kernel not in seeds:
-                    seeds.append(per_kernel)
-                candidates = [
-                    (partition, ["seed"]) for partition in seeds
-                ]
-                result = ComposeResult(
-                    best_partition=None,
-                    best_objective=float("-inf"),
-                    area_budget_mm2=self.objective.area_budget_mm2,
-                )
-                accepted = self._run_generation(
-                    pool, candidates, 0, result, best_score,
-                    finalists=len(candidates),
-                )
-                if accepted is None:
+                merged = canonical_partition([names])
+                per_kernel = canonical_partition([[n] for n in names])
+                seeds = [merged] if per_kernel == merged \
+                    else [merged, per_kernel]
+                if not self._generation(
+                    pool, state, [(p, ["seed"]) for p in seeds], 0
+                ):
                     raise DseError(
                         "no seed composition fits the budget "
                         f"({self.objective.area_budget_mm2:.2f} mm^2)"
                     )
-                best_partition, best_score, cycles = accepted
-                result.best_partition = best_partition
-                result.best_objective = best_score
-                result.kernel_cycles = cycles
-                last_iteration = 0
-                if checkpoint_path:
-                    save(0)
-
-            for iteration in range(start_iteration, max_iters + 1):
-                if stale >= patience:
-                    break
-                with telemetry.timer("mutate"):
-                    candidates = self._sample_generation(
-                        best_partition, width, iteration
-                    )
-                if not candidates:
-                    stale += 1
-                else:
-                    accepted = self._run_generation(
-                        pool, candidates, iteration, result, best_score,
-                        finalists=finalists,
-                    )
-                    if accepted is None:
-                        stale += 1
-                    else:
-                        best_partition, best_score, cycles = accepted
-                        result.best_partition = best_partition
-                        result.best_objective = best_score
-                        result.kernel_cycles = cycles
-                        stale = 0
-                last_iteration = iteration
-                if checkpoint_path and iteration % checkpoint_every == 0:
-                    save(iteration)
-
-        if checkpoint_path:
-            save(last_iteration)
+                self._checkpoint(checkpoint_path, state)
+            self._search(
+                pool, state, max_iters + 1,
+                patience if patience is not None else max_iters,
+                width, finalists, self._sample_generation,
+                checkpoint_path, checkpoint_every,
+            )
 
         wall = time.perf_counter() - run_start
         summary = telemetry.summary()
@@ -669,9 +516,9 @@ class CompositionExplorer:
             "finalists": finalists,
             "generation_width": width,
             "area_budget_mm2": self.objective.area_budget_mm2,
-            "best_partition": [list(c) for c in best_partition],
-            "best_strategy": partition_strategy(best_partition),
-            "best_objective": best_score,
+            "best_partition": [list(c) for c in state.best],
+            "best_strategy": partition_strategy(state.best),
+            "best_objective": result.best_objective,
             "strategy_best": dict(result.strategy_best),
         })
         if self.surrogate is not None:
@@ -681,124 +528,16 @@ class CompositionExplorer:
         return result
 
     # ------------------------------------------------------------------
-    def _run_generation(self, pool, candidates, iteration, result,
-                        best_score, finalists=None):
-        """Evaluate one generation of (partition, descriptions)
-        candidates; returns ``(partition, score, cycles)`` for a strict
-        improvement or None."""
-        telemetry = self.telemetry
-        if finalists is None:
-            finalists = len(candidates)
-        chosen, features, predictions = self._select_finalists(
-            candidates, finalists
-        )
-        tasks = []
-        for idx, src in enumerate(chosen):
-            partition = candidates[src][0]
-            fabrics, node_maps = self._materialize(partition)
-            tasks.append(ComposeTask(
-                index=idx, iteration=iteration, partition=partition,
-                fabrics=fabrics, node_maps=node_maps,
-                seed=self.rng.spawn("ceval", iteration, idx).seed,
-            ))
-        with telemetry.timer("evaluate"):
-            outcomes = pool.map(tasks)
-        winner = None
-        winner_score = best_score
-        scores = []
-        for outcome in outcomes:
-            telemetry.merge_timings({
-                f"candidate/{name}": seconds
-                for name, seconds in outcome.stage_seconds.items()
-            })
-            telemetry.merge_counters(outcome.counters)
-            if not outcome.ok:
-                scores.append(float("-inf"))
-                continue
-            score = self.objective.score(
-                outcome.cycles, outcome.area, outcome.power
-            )
-            scores.append(score)
-            strategy = partition_strategy(outcome.partition)
-            if score > result.strategy_best.get(
-                strategy, float("-inf")
-            ):
-                result.strategy_best[strategy] = score
-            if score > winner_score:  # strict: ties keep lowest index
-                winner = outcome
-                winner_score = score
-        for idx, outcome in enumerate(outcomes):
-            accepted = (winner is not None
-                        and outcome.index == winner.index)
-            if not accepted:
-                telemetry.incr("compose_rejected")
-            result.history.append(ComposeHistoryEntry(
-                iteration=iteration, partition=outcome.partition,
-                strategy=partition_strategy(outcome.partition)
-                if outcome.partition else "unknown",
-                area_mm2=outcome.area, power_mw=outcome.power,
-                objective=scores[idx], accepted=accepted,
-                mutations=list(candidates[chosen[idx]][1]),
-                candidate=outcome.index,
-            ))
-        if self.surrogate is not None:
-            with telemetry.timer("surrogate"):
-                for idx, outcome in enumerate(outcomes):
-                    src = chosen[idx]
-                    self.surrogate.observe(
-                        features[src], outcome.ok, scores[idx],
-                        cycles=outcome.cycles or None,
-                        prediction=predictions[src],
-                    )
-                refit = self.surrogate.maybe_refit()
-            if refit is not None:
-                telemetry.incr("surrogate_refits")
-                telemetry.event({
-                    "type": "surrogate_refit", "iteration": iteration,
-                    **refit,
-                })
-        telemetry.event({
-            "type": "compose_generation",
-            "iteration": iteration,
-            "considered": len(candidates),
-            "finalists": len(chosen),
-            "candidates": len(outcomes),
-            "accepted_candidate": winner.index if winner else None,
-            "best_objective": winner_score,
-            "objectives": [
-                s if s != float("-inf") else None for s in scores
-            ],
-        })
-        if winner is None:
-            return None
-        return winner.partition, winner_score, winner.cycles
-
-    # ------------------------------------------------------------------
-    def _specialized_fingerprint(self):
+    def _explorer_pins(self):
         # Imported lazily: repro.harness's package init imports the fig
         # drivers, which import repro.dse — a module-level import here
         # would close that cycle during package initialization.
         from repro.harness.compile_cache import adg_fingerprint
 
-        return [
+        return {"specialized": [
             [name, adg_fingerprint(self.specialized[name].adg)]
             for name in sorted(self.specialized)
-        ]
-
-    def _pins(self):
-        """Settings a resumed run must share with the checkpoint's
-        writer; any difference would fork the trajectory."""
-        return {
-            "seed": repr(self.rng.seed),
-            "fidelity": self.fidelity,
-            "surrogate_top": self.surrogate_top,
-            "surrogate_widen": self.surrogate_widen,
-            "recalibrate_every": self.recalibrate_every,
-            "sched_iters": self.sched_iters,
-            "area_budget_mm2": self.objective.area_budget_mm2,
-            "power_budget_mw": self.objective.power_budget_mw,
-            "specialized": self._specialized_fingerprint(),
-        }
+        ]}
 
 
 # ---------------------------------------------------------------------------
@@ -820,6 +559,8 @@ def run_compose(kernels, rng=None, budgets=None,
     baseline and one :class:`ComposeResult` per budget, plus a
     cross-budget strategy scoreboard.
     """
+    # Bad knobs fail here, before the kernels are specialized.
+    funnel_knobs(fidelity, surrogate_top, surrogate_widen, recalibrate_every)
     rng = rng or DeterministicRng("compose")
     telemetry = telemetry if telemetry is not None else Telemetry()
     with telemetry.timer("specialize"):

@@ -10,12 +10,14 @@ buffer bit-exactly, and fidelity="full" bypasses the funnel entirely.
 import json
 import multiprocessing
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
 from repro.adg import topologies
 from repro.adg.features import GRAPH_FEATURE_NAMES, graph_feature_vector
-from repro.dse import DSE_FIDELITIES, DesignSpaceExplorer
+from repro.cli import main as cli_main
+from repro.dse import DSE_FIDELITIES, CompositionExplorer, DesignSpaceExplorer
 from repro.errors import DseError
 from repro.estimation.surrogate import SurrogateModel
 from repro.utils.rng import DeterministicRng
@@ -186,14 +188,29 @@ class TestFidelityValidation:
         with pytest.raises(DseError, match="unknown DSE fidelity"):
             _make_explorer(fidelity="turbo")
 
-    @pytest.mark.parametrize("knob,value", [
-        ("surrogate_top", 0),
-        ("surrogate_widen", 0),
-        ("recalibrate_every", 0),
+    @pytest.mark.parametrize("explorer_cls,knob,value", [
+        pytest.param(explorer_cls, knob, value, id=prefix + f"{knob}-{value}")
+        for explorer_cls, prefix in ((DesignSpaceExplorer, ""),
+                                     (CompositionExplorer, "compose-"))
+        for knob, value in (("surrogate_top", 0), ("surrogate_top", -3),
+                            ("surrogate_widen", 0), ("recalibrate_every", 0))
     ])
-    def test_bad_knobs_rejected(self, knob, value):
+    def test_bad_knobs_rejected(self, explorer_cls, knob, value):
         with pytest.raises(DseError, match=knob):
-            _make_explorer(**{knob: value})
+            if explorer_cls is DesignSpaceExplorer:
+                _make_explorer(**{knob: value})
+            else:
+                CompositionExplorer(
+                    {"mm": SimpleNamespace(cycles=1000.0)},
+                    **{knob: value},
+                )
+
+    def test_cli_compose_rejects_zero_recalibrate_every(self, capsys):
+        code = cli_main([
+            "compose", "--workloads", "mm,pool", "--recalibrate-every", "0",
+        ])
+        assert code == 2
+        assert "recalibrate_every" in capsys.readouterr().err
 
     def test_full_fidelity_has_no_surrogate(self):
         explorer = _make_explorer(fidelity="full")

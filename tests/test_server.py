@@ -534,16 +534,21 @@ class TestCrashSafety:
                         _spec("compile", seed=seed)
                     )
                     assert response["ok"], response
-                # Kill as soon as the first artifact lands — the
-                # remaining jobs are mid-compile/mid-write.
-                objects = os.path.join(store_root, "objects")
+                # Kill as soon as the index refers to a first artifact
+                # — the remaining jobs are mid-compile/mid-write. An
+                # object file alone is not enough: `put` publishes it
+                # before the index, and a kill in between rightly leaves
+                # no entry. The index is replaced atomically, so every
+                # read sees a whole record.
+                index = os.path.join(store_root, "index.json")
                 deadline = time.time() + 120
                 while time.time() < deadline:
-                    if os.path.isdir(objects) and any(
-                        name.endswith(".bin")
-                        for name in os.listdir(objects)
-                    ):
-                        break
+                    try:
+                        with open(index) as handle:
+                            if json.load(handle).get("entries"):
+                                break
+                    except (OSError, ValueError):
+                        pass
                     time.sleep(0.02)
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=30)
