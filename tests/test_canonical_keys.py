@@ -137,7 +137,9 @@ class TestEncoderIdentity:
         b"", b"\x00\xff", bytearray(b"ab"),
         *Color, *Level, *Mode,
         [], (), set(), frozenset(), {},
-        [1, (2, [3, {4}]), frozenset({"a", 1, None})],
+        # A set's repr order follows the hash seed: pin the id's spelling.
+        pytest.param([1, (2, [3, {4}]), frozenset({"a", 1, None})],
+                     id="[1, (2, [3, {4}]), frozenset({1, 'a', None})]"),
         {1: "int", "1": "str", 1.0 + 1: "float", (1,): "tuple",
          frozenset({1}): "frozenset", None: "none", Mode.PLAIN: "enum",
          Color.RED: "enum", b"1": "bytes"},
@@ -154,7 +156,8 @@ class TestEncoderIdentity:
             assert canonical_dumps(payload) == oracle_dumps(payload), name
 
     @pytest.mark.parametrize("value", [
-        object(), 1j, memoryview(b"x"), [1, object()],
+        pytest.param(object(), id="object"), 1j,
+        pytest.param(memoryview(b"x"), id="memoryview"), [1, object()],
         {"k": {1, 2j}}, {(1, object()): 1},
     ], ids=repr)
     def test_unsupported_types_raise(self, value):
