@@ -37,10 +37,7 @@ telemetry rather than silently compounding:
 import math
 from dataclasses import dataclass, field
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+import numpy as _np
 
 __all__ = ["SurrogatePrediction", "SurrogateModel"]
 
@@ -82,10 +79,6 @@ class SurrogateModel:
     """
 
     def __init__(self, recalibrate_every=16):
-        if _np is None:  # pragma: no cover - numpy ships with toolchain
-            raise RuntimeError(
-                "repro.estimation.surrogate requires numpy"
-            )
         self.recalibrate_every = max(1, int(recalibrate_every))
         #: Ordered realized-evaluation history, the model's whole truth:
         #: ``(features, ok, log_objective|None, {kernel: log_cycles})``.

@@ -185,9 +185,6 @@ class OffloadRegion:
             result.extend(as_stream_list(binding))
         return result
 
-    def compute_instruction_count(self):
-        return len(self.dfg.instructions())
-
     def bind_constants(self, memory):
         """Resolve configuration-time constants from ``memory``.
 

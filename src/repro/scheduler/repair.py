@@ -38,7 +38,7 @@ def strip_invalid(schedule, adg):
     for edge in list(schedule.routes):
         links = schedule.routes[edge]
         if any(link_id not in live_links for link_id in links):
-            del schedule.routes[edge]
+            schedule.remove_route(edge)
             schedule.input_delays.pop(edge, None)
             removed += 1
 
@@ -46,7 +46,7 @@ def strip_invalid(schedule, adg):
         hw_name = schedule.stream_binding[key]
         if not adg.has_node(hw_name) \
                 or not isinstance(adg.node(hw_name), Memory):
-            del schedule.stream_binding[key]
+            schedule.unbind_stream(*key)
             removed += 1
 
     # Delay assignments sized for FIFOs that shrank (or whose consumer

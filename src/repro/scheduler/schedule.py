@@ -17,20 +17,24 @@ Utilization state (``pe_load``/``port_load``/``link_values``/
 ``memory_streams``/per-PE issue cost/total route length, the value ->
 link-count index, the link-width histogram, and the PE, port, link and
 memory overuse totals the objective charges) is maintained
-*incrementally*: ``placement``, ``routes`` and ``stream_binding`` are
-observed mappings that update live counters on every mutation, so the
-objective reads its resource terms in constant time rather than
-re-deriving every table per call. The from-scratch derivations are kept
-as ``_recompute_*`` oracles for property tests.
+*incrementally*: the mapping methods (:meth:`Schedule.place`,
+:meth:`~Schedule.set_route`, :meth:`~Schedule.bind_stream` and their
+removals) are the only writers of ``placement``, ``routes`` and
+``stream_binding``, and each updates the live counters as it goes, so
+the objective reads its resource terms in constant time rather than
+re-deriving every table per call. The three mappings are exposed as
+live read-only views; a write through one raises ``TypeError``. The
+from-scratch derivations are kept as ``_recompute_*`` oracles for
+property tests.
 
 Timing is cached per region together with its per-node finish times,
 PEs and skew/flow contributions (see :mod:`repro.scheduler.timing`).
 Each region has a static :class:`RegionPlan` — its nodes in topological
 order, with each node's consumers — and a set of *seed* positions the
-observers add to: placing or unplacing vertex ``v`` seeds the position
-of ``v``, adding or removing the route of edge ``e`` (or dropping its
-delay) seeds the position of ``e.dst``, and ``clear``/``rebind``/
-wholesale assignment drop the seeds, which marks every position stale.
+mapping methods add to: placing or unplacing vertex ``v`` seeds the
+position of ``v``, adding or removing the route of edge ``e`` (or
+dropping its delay) seeds the position of ``e.dst``, and ``clear``/
+``load``/``rebind`` drop the seeds, which marks every position stale.
 A node's timing depends only on its producers' finish times and PEs and
 on the routes into it, so ``compute_timing`` re-times the seeds and,
 from them, only the consumers whose producers came out changed.
@@ -40,13 +44,11 @@ Invariants callers must respect (all existing callers do):
 * placement keys are vertices of :meth:`vertices`, route keys are edges
   of :meth:`edges` (so incompleteness is pure count arithmetic);
 * route link-lists are never mutated in place — replace them through
-  :meth:`set_route`;
-* wholesale assignment to ``placement``/``routes``/``stream_binding``
-  is allowed but rebuilds the counters from scratch (counted in
-  :data:`STATS`).
+  :meth:`set_route`.
 """
 
-import weakref
+from operator import attrgetter
+from types import MappingProxyType
 
 from repro.adg.components import (
     Direction,
@@ -60,10 +62,10 @@ from repro.ir.region import as_stream_list
 from repro.ir.stream import RecurrenceStream
 from repro.isa.opcodes import OPCODES
 
-#: Process-wide count of from-scratch derived-state rebuilds (wholesale
-#: assignment to ``placement``/``routes``/``stream_binding`` or
-#: unpickling). The scheduler snapshots this around a run to surface it
-#: as the ``sched_load_rebuilds`` telemetry counter.
+#: Process-wide count of from-scratch derived-state rebuilds
+#: (:meth:`Schedule.load`, which unpickling also runs). The scheduler
+#: snapshots this around a run to surface it as the
+#: ``sched_load_rebuilds`` telemetry counter.
 STATS = {"load_rebuilds": 0}
 
 
@@ -245,66 +247,6 @@ class RegionPlan:
         return len(self.steps)
 
 
-class _ObservedDict(dict):
-    """A dict that notifies its owner on every entry add/remove.
-
-    The callbacks keep the schedule's live utilization counters in sync
-    with direct mutations (``sched.routes.pop(edge)``,
-    ``del sched.placement[v]``, ...) without forcing every caller
-    through dedicated mutator methods. They are plain functions called
-    as ``on_add(owner, key, value)``, and the owner is held weakly: a
-    bound method would make every schedule a reference cycle, freed
-    only when the cyclic garbage collector next runs instead of as soon
-    as its last reference goes.
-    """
-
-    __slots__ = ("_owner", "_on_add", "_on_remove")
-
-    def __init__(self, owner, on_add, on_remove):
-        super().__init__()
-        self._owner = weakref.ref(owner)
-        self._on_add = on_add
-        self._on_remove = on_remove
-
-    def __setitem__(self, key, value):
-        owner = self._owner()
-        if key in self:
-            self._on_remove(owner, key, dict.__getitem__(self, key))
-        dict.__setitem__(self, key, value)
-        self._on_add(owner, key, value)
-
-    def __delitem__(self, key):
-        value = dict.__getitem__(self, key)
-        dict.__delitem__(self, key)
-        self._on_remove(self._owner(), key, value)
-
-    def pop(self, key, *default):
-        if key in self:
-            value = dict.__getitem__(self, key)
-            del self[key]
-            return value
-        if default:
-            return default[0]
-        raise KeyError(key)
-
-    def popitem(self):
-        key = next(reversed(self))
-        return key, self.pop(key)
-
-    def clear(self):
-        for key in list(dict.keys(self)):
-            del self[key]
-
-    def update(self, *args, **kwargs):
-        for key, value in dict(*args, **kwargs).items():
-            self[key] = value
-
-    def setdefault(self, key, default=None):
-        if key not in self:
-            self[key] = default
-        return dict.__getitem__(self, key)
-
-
 def _instruction_capacity(adg, hw_name):
     """Instructions ``hw_name`` hosts without overuse: the instruction
     buffer of a PE, else 1 (also for a name no longer in ``adg``)."""
@@ -368,83 +310,31 @@ class Schedule:
         self._timing_plans = None
         self._timing_cache = {}     # region -> cached timing entry
         self._timing_seeds = {}     # region -> {seed position, ...}
-        self._placement = _ObservedDict(
-            self, Schedule._vertex_placed, Schedule._vertex_unplaced
-        )
-        self._routes = _ObservedDict(
-            self, Schedule._route_added, Schedule._route_removed
-        )
-        self._stream_binding = _ObservedDict(
-            self, Schedule._stream_bound, Schedule._stream_unbound
-        )
+        # The mappings, written only by the mapping methods below and
+        # read through live read-only views.
+        self._placement = {}        # Vertex -> hw node name
+        self._routes = {}           # Edge -> [link_id, ...]
+        self._stream_binding = {}   # (region, port) -> memory name
+        self._placement_view = MappingProxyType(self._placement)
+        self._routes_view = MappingProxyType(self._routes)
+        self._stream_binding_view = MappingProxyType(self._stream_binding)
+
+    placement = property(
+        attrgetter("_placement_view"),
+        doc="Vertex -> hw node name (a live read-only view).",
+    )
+    routes = property(
+        attrgetter("_routes_view"),
+        doc="Edge -> [link_id, ...] (a live read-only view).",
+    )
+    stream_binding = property(
+        attrgetter("_stream_binding_view"),
+        doc="(region, port) -> memory name (a live read-only view).",
+    )
 
     # ------------------------------------------------------------------
-    # Observed mappings
+    # Counter helpers
     # ------------------------------------------------------------------
-    @property
-    def placement(self):
-        """Vertex -> hw node name (observed: mutations update counters)."""
-        return self._placement
-
-    @placement.setter
-    def placement(self, mapping):
-        items = dict(mapping)
-        STATS["load_rebuilds"] += 1
-        self._timing_seeds.clear()  # dropped entries notify no observer
-        self._pe_load.clear()
-        self._port_load.clear()
-        self._pe_issue_cost.clear()
-        self._overuse_pe = self._overuse_port = 0
-        self._placement = _ObservedDict(
-            self, Schedule._vertex_placed, Schedule._vertex_unplaced
-        )
-        self._placement.update(items)
-
-    @property
-    def routes(self):
-        """Edge -> [link_id, ...] (observed: mutations update counters)."""
-        return self._routes
-
-    @routes.setter
-    def routes(self, mapping):
-        items = {key: list(value) for key, value in dict(mapping).items()}
-        STATS["load_rebuilds"] += 1
-        self._timing_seeds.clear()
-        self._link_value_refs.clear()
-        self._value_links.clear()
-        self._link_widths.clear()
-        self._route_length = 0
-        self._overuse_link = 0
-        self._routes = _ObservedDict(
-            self, Schedule._route_added, Schedule._route_removed
-        )
-        self._routes.update(items)
-
-    @property
-    def stream_binding(self):
-        """(region, port) -> memory name (observed)."""
-        return self._stream_binding
-
-    @stream_binding.setter
-    def stream_binding(self, mapping):
-        items = dict(mapping)
-        STATS["load_rebuilds"] += 1
-        self._memory_streams.clear()
-        self._overuse_memory = 0
-        self._stream_binding = _ObservedDict(
-            self, Schedule._stream_bound, Schedule._stream_unbound
-        )
-        self._stream_binding.update(items)
-
-    # ------------------------------------------------------------------
-    # Mutation observers
-    # ------------------------------------------------------------------
-    def _mark_dirty(self, region_name, node_id):
-        """Seed ``node_id``'s position for the region's next re-time."""
-        seeds = self._timing_seeds.get(region_name)
-        if seeds is not None:  # None: stale everywhere already
-            seeds.add(self._timing_plans[region_name].position[node_id])
-
     @staticmethod
     def _decrement(table, key, amount):
         remaining = table.get(key, 0) - amount
@@ -468,114 +358,6 @@ class Schedule:
             slots = _stream_slots(self.adg, memory_name)
             self._memory_slots[memory_name] = slots
         return slots
-
-    def _vertex_placed(self, vertex, hw_name):
-        node = self.node_of(vertex)
-        if node.kind is NodeKind.INSTR:
-            load = self._pe_load.get(hw_name, 0)
-            if load >= self._capacity(hw_name):
-                self._overuse_pe += 1
-            self._pe_load[hw_name] = load + 1
-            self._pe_issue_cost[hw_name] = (
-                self._pe_issue_cost.get(hw_name, 0) + _issue_cost(node.op)
-            )
-        elif node.kind in (NodeKind.INPUT, NodeKind.OUTPUT):
-            load = self._port_load.get(hw_name, 0)
-            if load:
-                self._overuse_port += 1
-            self._port_load[hw_name] = load + 1
-        self._mark_dirty(vertex.region, vertex.node_id)
-
-    def _vertex_unplaced(self, vertex, hw_name):
-        node = self.node_of(vertex)
-        if node.kind is NodeKind.INSTR:
-            if self._pe_load.get(hw_name, 0) > self._capacity(hw_name):
-                self._overuse_pe -= 1
-            self._decrement(self._pe_load, hw_name, 1)
-            self._decrement(
-                self._pe_issue_cost, hw_name, _issue_cost(node.op)
-            )
-        elif node.kind in (NodeKind.INPUT, NodeKind.OUTPUT):
-            if self._port_load.get(hw_name, 0) > 1:
-                self._overuse_port -= 1
-            self._decrement(self._port_load, hw_name, 1)
-        self._mark_dirty(vertex.region, vertex.node_id)
-
-    def _route_added(self, edge, links):
-        value = edge.value
-        link_value_refs = self._link_value_refs
-        widths = self._link_widths
-        joined = 0  # links the value was not on yet
-        for link_id in links:
-            refs = link_value_refs.get(link_id)
-            if refs is None:
-                link_value_refs[link_id] = {value: 1}
-                widths[1] = widths.get(1, 0) + 1
-            elif value in refs:
-                refs[value] += 1
-                continue
-            else:
-                # The link widens by one value and joins the overuse.
-                width = len(refs)
-                refs[value] = 1
-                self._overuse_link += 1
-                if widths[width] == 1:
-                    del widths[width]
-                else:
-                    widths[width] -= 1
-                widths[width + 1] = widths.get(width + 1, 0) + 1
-            joined += 1
-        if joined:
-            value_links = self._value_links
-            value_links[value] = value_links.get(value, 0) + joined
-        self._route_length += len(links)
-        self._mark_dirty(edge.region, edge.dst_id)
-
-    def _route_removed(self, edge, links):
-        value = edge.value
-        link_value_refs = self._link_value_refs
-        widths = self._link_widths
-        left = 0  # links the value is no longer on
-        for link_id in links:
-            refs = link_value_refs.get(link_id)
-            if refs is None or value not in refs:
-                continue
-            remaining = refs[value] - 1
-            if remaining:
-                refs[value] = remaining
-                continue
-            del refs[value]
-            left += 1
-            width = len(refs) + 1  # the link narrows from this width
-            if widths[width] == 1:
-                del widths[width]
-            else:
-                widths[width] -= 1
-            if refs:
-                widths[width - 1] = widths.get(width - 1, 0) + 1
-                self._overuse_link -= 1  # leaves a still-occupied link
-            else:
-                del link_value_refs[link_id]
-        if left:
-            self._decrement(self._value_links, value, left)
-        self._route_length -= len(links)
-        self._mark_dirty(edge.region, edge.dst_id)
-
-    def _stream_bound(self, key, memory_name):
-        keys = self._memory_streams.setdefault(memory_name, [])
-        keys.append(key)
-        if len(keys) > self._slots(memory_name):
-            self._overuse_memory += 1
-
-    def _stream_unbound(self, key, memory_name):
-        keys = self._memory_streams.get(memory_name)
-        if keys is None:
-            return
-        if len(keys) > self._slots(memory_name):
-            self._overuse_memory -= 1
-        keys.remove(key)
-        if not keys:
-            del self._memory_streams[memory_name]
 
     # ------------------------------------------------------------------
     # Software-side views
@@ -610,12 +392,6 @@ class Schedule:
         if self._all_vertices is None:
             self.vertices()
         return len(self._all_vertices)
-
-    def instruction_vertices(self):
-        return self.vertices({NodeKind.INSTR})
-
-    def port_vertices(self):
-        return self.vertices({NodeKind.INPUT, NodeKind.OUTPUT})
 
     def node_of(self, vertex):
         """The DFG node behind a vertex (a table lookup for the vertices
@@ -656,40 +432,204 @@ class Schedule:
         return list(self._edges_by_vertex.get(vertex, ()))
 
     # ------------------------------------------------------------------
-    # Mapping operations
+    # Mapping operations: the only writers of the three mappings. Each
+    # keeps the live counters and the timing seeds in step. The seed
+    # update is written out in each (three lines: this is the hot path
+    # of the search) instead of calling a helper.
     # ------------------------------------------------------------------
     def place(self, vertex, hw_name):
+        """Place ``vertex`` on ``hw_name``, replacing its placement if it
+        has one (its routes stay)."""
         if not self.adg.has_node(hw_name):
             raise SchedulingError(f"placement target {hw_name!r} not in ADG")
+        self._place(vertex, hw_name)
+
+    def _place(self, vertex, hw_name):
+        """:meth:`place` without checking that ``hw_name`` exists."""
+        old = self._placement.get(vertex)
+        if old is not None:
+            self._unplaced(vertex, old)
         self._placement[vertex] = hw_name
+        node = self.node_of(vertex)
+        if node.kind is NodeKind.INSTR:
+            load = self._pe_load.get(hw_name, 0)
+            if load >= self._capacity(hw_name):
+                self._overuse_pe += 1
+            self._pe_load[hw_name] = load + 1
+            self._pe_issue_cost[hw_name] = (
+                self._pe_issue_cost.get(hw_name, 0) + _issue_cost(node.op)
+            )
+        elif node.kind in (NodeKind.INPUT, NodeKind.OUTPUT):
+            load = self._port_load.get(hw_name, 0)
+            if load:
+                self._overuse_port += 1
+            self._port_load[hw_name] = load + 1
+        seeds = self._timing_seeds.get(vertex.region)
+        if seeds is not None:  # None: stale everywhere already
+            seeds.add(self._timing_plans[vertex.region].position[
+                vertex.node_id])
+
+    def remove_placement(self, vertex):
+        """Drop the placement of ``vertex`` only: unlike :meth:`unplace`
+        its routes and input delays stay (a candidate rollback)."""
+        hw_name = self._placement.pop(vertex, None)
+        if hw_name is not None:
+            self._unplaced(vertex, hw_name)
+
+    def _unplaced(self, vertex, hw_name):
+        """Take the placement ``vertex -> hw_name`` out of the counters."""
+        node = self.node_of(vertex)
+        if node.kind is NodeKind.INSTR:
+            if self._pe_load.get(hw_name, 0) > self._capacity(hw_name):
+                self._overuse_pe -= 1
+            self._decrement(self._pe_load, hw_name, 1)
+            self._decrement(
+                self._pe_issue_cost, hw_name, _issue_cost(node.op)
+            )
+        elif node.kind in (NodeKind.INPUT, NodeKind.OUTPUT):
+            if self._port_load.get(hw_name, 0) > 1:
+                self._overuse_port -= 1
+            self._decrement(self._port_load, hw_name, 1)
+        seeds = self._timing_seeds.get(vertex.region)
+        if seeds is not None:
+            seeds.add(self._timing_plans[vertex.region].position[
+                vertex.node_id])
 
     def unplace(self, vertex):
-        """Remove a vertex's placement and every route touching it."""
-        self._placement.pop(vertex, None)
+        """Remove a vertex's placement and every route touching it,
+        with their input delays."""
+        self.remove_placement(vertex)
         for edge in self.edges_of(vertex):
-            self._routes.pop(edge, None)
+            self.remove_route(edge)
             if self.input_delays.pop(edge, None) is not None:
                 # The consumer's delays must be written again, even when
                 # nothing else about it changed (vertex already unplaced).
-                self._mark_dirty(edge.region, edge.dst_id)
-
-    def hw_of(self, vertex):
-        return self._placement.get(vertex)
+                seeds = self._timing_seeds.get(edge.region)
+                if seeds is not None:
+                    seeds.add(self._timing_plans[edge.region].position[
+                        edge.dst_id])
 
     def set_route(self, edge, links):
-        self._routes[edge] = list(links)
+        """Route ``edge`` over ``links``, replacing its route if it has
+        one."""
+        links = list(links)
+        old = self._routes.get(edge)
+        if old is not None:
+            self._unrouted(edge, old)
+        self._routes[edge] = links
+        value = edge.value
+        link_value_refs = self._link_value_refs
+        widths = self._link_widths
+        joined = 0  # links the value was not on yet
+        for link_id in links:
+            refs = link_value_refs.get(link_id)
+            if refs is None:
+                link_value_refs[link_id] = {value: 1}
+                widths[1] = widths.get(1, 0) + 1
+            elif value in refs:
+                refs[value] += 1
+                continue
+            else:
+                # The link widens by one value and joins the overuse.
+                width = len(refs)
+                refs[value] = 1
+                self._overuse_link += 1
+                if widths[width] == 1:
+                    del widths[width]
+                else:
+                    widths[width] -= 1
+                widths[width + 1] = widths.get(width + 1, 0) + 1
+            joined += 1
+        if joined:
+            value_links = self._value_links
+            value_links[value] = value_links.get(value, 0) + joined
+        self._route_length += len(links)
+        seeds = self._timing_seeds.get(edge.region)
+        if seeds is not None:
+            seeds.add(self._timing_plans[edge.region].position[edge.dst_id])
+
+    def remove_route(self, edge):
+        """Drop the route of ``edge`` (its input delay stays); returns its
+        links, or None when it had no route."""
+        links = self._routes.pop(edge, None)
+        if links is not None:
+            self._unrouted(edge, links)
+        return links
+
+    def _unrouted(self, edge, links):
+        """Take the route ``edge -> links`` out of the counters."""
+        value = edge.value
+        link_value_refs = self._link_value_refs
+        widths = self._link_widths
+        left = 0  # links the value is no longer on
+        for link_id in links:
+            refs = link_value_refs.get(link_id)
+            if refs is None or value not in refs:
+                continue
+            remaining = refs[value] - 1
+            if remaining:
+                refs[value] = remaining
+                continue
+            del refs[value]
+            left += 1
+            width = len(refs) + 1  # the link narrows from this width
+            if widths[width] == 1:
+                del widths[width]
+            else:
+                widths[width] -= 1
+            if refs:
+                widths[width - 1] = widths.get(width - 1, 0) + 1
+                self._overuse_link -= 1  # leaves a still-occupied link
+            else:
+                del link_value_refs[link_id]
+        if left:
+            self._decrement(self._value_links, value, left)
+        self._route_length -= len(links)
+        seeds = self._timing_seeds.get(edge.region)
+        if seeds is not None:
+            seeds.add(self._timing_plans[edge.region].position[edge.dst_id])
 
     def bind_stream(self, region_name, port, memory_name):
+        """Bind the stream of ``(region_name, port)`` to ``memory_name``,
+        replacing its binding if it has one."""
         if not self.adg.has_node(memory_name):
             raise SchedulingError(f"memory {memory_name!r} not in ADG")
-        self._stream_binding[(region_name, port)] = memory_name
+        self._bind_stream((region_name, port), memory_name)
+
+    def _bind_stream(self, key, memory_name):
+        """:meth:`bind_stream` without checking that the memory exists."""
+        old = self._stream_binding.get(key)
+        if old is not None:
+            self._unbound(key, old)
+        self._stream_binding[key] = memory_name
+        keys = self._memory_streams.setdefault(memory_name, [])
+        keys.append(key)
+        if len(keys) > self._slots(memory_name):
+            self._overuse_memory += 1
+
+    def unbind_stream(self, region_name, port):
+        """Drop the binding of the stream of ``(region_name, port)``."""
+        key = (region_name, port)
+        memory_name = self._stream_binding.pop(key, None)
+        if memory_name is not None:
+            self._unbound(key, memory_name)
+
+    def _unbound(self, key, memory_name):
+        """Take the binding ``key -> memory_name`` out of the counters."""
+        keys = self._memory_streams.get(memory_name)
+        if keys is None:
+            return
+        if len(keys) > self._slots(memory_name):
+            self._overuse_memory -= 1
+        keys.remove(key)
+        if not keys:
+            del self._memory_streams[memory_name]
 
     def clear(self):
-        # Fast path: raw-clear the observed dicts and reset the counters
-        # wholesale instead of walking every entry through the observers.
-        dict.clear(self._placement)
-        dict.clear(self._routes)
-        dict.clear(self._stream_binding)
+        """Drop the whole mapping and reset the counters wholesale."""
+        self._placement.clear()
+        self._routes.clear()
+        self._stream_binding.clear()
         self.input_delays.clear()
         self._pe_load.clear()
         self._port_load.clear()
@@ -703,17 +643,33 @@ class Schedule:
         self._overuse_memory = 0
         self._timing_seeds.clear()
 
+    def load(self, placement, routes, stream_binding):
+        """Replace the whole mapping with the given ones (input delays
+        are dropped) and rebuild the counters from them.
+
+        Targets are not checked against the ADG: an unpickled or a
+        translated schedule may name hardware that the caller's next
+        :func:`~repro.scheduler.repair.strip_invalid` removes.
+        """
+        STATS["load_rebuilds"] += 1
+        self.clear()
+        for vertex, hw_name in placement.items():
+            self._place(vertex, hw_name)
+        for edge, links in routes.items():
+            self.set_route(edge, links)
+        for key, memory_name in stream_binding.items():
+            self._bind_stream(key, memory_name)
+
     def clone(self):
         twin = Schedule(self.scope, self.adg)
-        # Fast path: copy raw mappings and live counters directly —
-        # routing every entry through the observers would redo
-        # O(schedule) work on every accepted search iteration.
-        dict.update(twin._placement, self._placement)
-        dict.update(
-            twin._routes,
-            {edge: list(links) for edge, links in self._routes.items()},
+        # Copy the mappings and the live counters directly: adding every
+        # entry through the mapping methods would redo O(schedule) work
+        # on every accepted search iteration.
+        twin._placement.update(self._placement)
+        twin._routes.update(
+            {edge: list(links) for edge, links in self._routes.items()}
         )
-        dict.update(twin._stream_binding, self._stream_binding)
+        twin._stream_binding.update(self._stream_binding)
         twin.input_delays = dict(self.input_delays)
         twin._pe_load = dict(self._pe_load)
         twin._port_load = dict(self._port_load)
@@ -788,9 +744,8 @@ class Schedule:
 
     def __setstate__(self, state):
         self.__init__(state["scope"], state["adg"])
-        self.placement = state["placement"]
-        self.routes = state["routes"]
-        self.stream_binding = state["stream_binding"]
+        self.load(state["placement"], state["routes"],
+                  state["stream_binding"])
         self.input_delays = dict(state["input_delays"])
 
     # ------------------------------------------------------------------
@@ -801,12 +756,6 @@ class Schedule:
 
     def unrouted_edges(self):
         return [edge for edge in self.edges() if edge not in self._routes]
-
-    def is_complete(self):
-        """Everything placed and routed (legality judged separately)."""
-        if len(self._placement) < self.num_vertices():
-            return False
-        return len(self._routes) >= self.num_edges()
 
     # ------------------------------------------------------------------
     # Utilization (served from the live counters)
@@ -904,7 +853,7 @@ class Schedule:
 
     def store_region_timing(self, region_name, entry):
         """Cache ``entry`` as the region's timing for the current state."""
-        self.timing_plan(region_name)  # the observers read the plans
+        self.timing_plan(region_name)  # the mapping methods read the plans
         self._timing_cache[region_name] = entry
         self._timing_seeds[region_name] = set()
 

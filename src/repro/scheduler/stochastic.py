@@ -354,7 +354,7 @@ class SpatialScheduler:
         # is placed, in edges_of order, with that endpoint's hw.
         edges = []
         for edge in sched.edges_of(vertex):
-            sched.routes.pop(edge, None)
+            sched.remove_route(edge)
             incoming = edge.src != vertex
             other = sched.placement.get(edge.src if incoming else edge.dst)
             if other is not None:
@@ -390,8 +390,8 @@ class SpatialScheduler:
                 last_static, last_static_pruned = hw_name, not finished
             # Roll back routes for the next candidate.
             for edge in routed:
-                sched.routes.pop(edge)
-            sched.placement.pop(vertex, None)
+                sched.remove_route(edge)
+            sched.remove_placement(vertex)
         if best_name is None:
             return False
         if last_static_pruned and not _is_static_pe(
@@ -416,8 +416,8 @@ class SpatialScheduler:
         routed, _ = routes.route(edges, hw_name)
         compute_timing(sched, self.routing, telemetry=self.telemetry)
         for edge in routed:
-            sched.routes.pop(edge)
-        sched.placement.pop(vertex, None)
+            sched.remove_route(edge)
+        sched.remove_placement(vertex)
 
     # ------------------------------------------------------------------
     # Routing
@@ -427,7 +427,7 @@ class SpatialScheduler:
         # Drop this vertex's existing routes first so they neither count
         # as congestion nor survive a move.
         for edge in sched.edges_of(vertex):
-            sched.routes.pop(edge, None)
+            sched.remove_route(edge)
         # Each route set below joins the live congestion view.
         for edge in sched.edges_of(vertex):
             src_hw = sched.placement.get(edge.src)
@@ -547,7 +547,8 @@ class SpatialScheduler:
             if edge.src in sched.placement and edge.dst in sched.placement
         ]
         self.rng.shuffle(edges)
-        sched.routes.clear()
+        for edge in list(sched.routes):
+            sched.remove_route(edge)
         for edge in edges:
             path = _route_live(
                 self.routing, sched, sched.placement[edge.src],
@@ -574,7 +575,7 @@ class SpatialScheduler:
             # A committed route whose endpoint went unplaced must stay
             # committed — popping it here would silently lose it.
             return False
-        old = sched.routes.pop(edge)
+        old = sched.remove_route(edge)
         path = _route_live(self.routing, sched, src_hw, dst_hw, edge.value)
         sched.set_route(edge, path if path is not None else old)
         return True

@@ -194,8 +194,10 @@ def _retime_region(schedule, routing, plan, cached, seeds, assign_delays):
         flow_total = cached.timing.flow_violations
     steps = plan.steps
     consumers = plan.consumers
-    route_of = schedule.routes.get
-    hw_of = schedule.placement.get
+    # The dicts behind the read-only views: their bound ``get`` is the
+    # cheaper one, and this loop runs per re-timed node.
+    route_of = schedule._routes.get
+    hw_of = schedule._placement.get
     adg_node = schedule.adg.node
     path_latency = routing.path_latency
     heappush, heappop = heapq.heappush, heapq.heappop

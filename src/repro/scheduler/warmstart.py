@@ -60,13 +60,9 @@ def translate_schedule(schedule, adg, node_map=None):
                 binding[key] = mapped
             else:
                 stripped += 1
-        # Wholesale assignment rebuilds the utilization counters; routes
-        # reference source-graph link ids and cannot be mapped.
+        # Routes reference source-graph link ids and cannot be mapped.
         stripped += len(twin.routes)
-        twin.placement = placement
-        twin.routes = {}
-        twin.stream_binding = binding
-        twin.input_delays = {}
+        twin.load(placement, {}, binding)
     stripped += strip_invalid(twin, adg)
     return twin, stripped
 

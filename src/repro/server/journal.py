@@ -54,7 +54,6 @@ __all__ = [
     "verify_journal",
 ]
 
-JOURNAL_VERSION = 1
 _EVENTS = ("accepted", "started", "finished")
 
 

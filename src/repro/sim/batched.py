@@ -39,15 +39,12 @@ Layout and discipline:
 
 ``simulate_batch`` is the public entry point; ``engine="batched"`` on
 :func:`repro.sim.simulate` routes a single-case run through the same
-machinery. Without numpy every lane falls back to the scalar oracle.
+machinery.
 """
 
 from dataclasses import dataclass, field
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+import numpy as _np
 
 from repro.compiler.codegen import CommandKind
 from repro.errors import SimulationError
@@ -58,6 +55,7 @@ from repro.sim.machine import (
     _HISTORY_LIMIT,
     _Replay,
     CycleSimulator,
+    deadlock_deadline,
 )
 from repro.utils.telemetry import Telemetry
 
@@ -77,8 +75,9 @@ class BatchCase:
     ``compiled`` default to the batch-level pair; lanes may override
     both (fault variants of one base design). ``config_cycles``
     mirrors the :class:`CycleSimulator` parameter. ``deadline_factor``
-    replaces ``machine._DEADLOCK_FACTOR`` in the deadline formula for
-    this lane only (tests use it to force per-lane deadlocks).
+    replaces ``machine._DEADLOCK_FACTOR`` in
+    :func:`~repro.sim.machine.deadlock_deadline` for this lane only
+    (tests use it to force per-lane deadlocks).
     """
 
     memory: dict
@@ -147,22 +146,6 @@ def _structure_signature(replay):
               for _, command in replay.command_schedule),
         tuple(tuple(s.region.name for s in replay._barrier_prefix[name])
               for name in replay.states),
-    )
-
-
-def _override_deadline(replay, config_cycles, factor):
-    """The ``_Replay`` deadline formula with ``factor`` substituted for
-    ``machine._DEADLOCK_FACTOR`` (keep in sync with ``_Replay.__init__``)."""
-    total_words = sum(
-        seg.words
-        for state in replay.state_list
-        for port, _lanes in state.in_ports.values()
-        for seg in port.segments
-    ) + 1
-    return config_cycles + factor * (
-        total_words
-        + sum(s.total_instances * s.ii for s in replay.state_list)
-        + 64
     )
 
 
@@ -1386,7 +1369,7 @@ def _simulate_lanes(lanes, telemetry, stats):
             states = lane.sim._build_states(lane.trace)
             lane.replay = _Replay(lane.sim, states)
             if lane.case.deadline_factor is not None:
-                lane.deadline_override = _override_deadline(
+                lane.deadline_override = deadlock_deadline(
                     lane.replay, lane.sim.config_cycles,
                     lane.case.deadline_factor,
                 )
@@ -1396,10 +1379,6 @@ def _simulate_lanes(lanes, telemetry, stats):
     with telemetry.timer("sim/batch_replay"):
         for group in structural_groups.values():
             stats["groups"] += 1
-            if _np is None:
-                for lane in group:
-                    _scalar_rerun(lane, stats)
-                continue
             try:
                 machine = _BatchMachine(group)
                 deadlocked = machine.run()

@@ -250,6 +250,25 @@ class _RegionState:
         )
 
 
+def deadlock_deadline(replay, config_cycles, factor):
+    """The cycle past which ``replay`` counts as deadlocked:
+    ``config_cycles`` plus ``factor`` times its traffic (input words,
+    plus instances times II over its regions, plus a 64-cycle margin).
+    ``_Replay`` passes ``_DEADLOCK_FACTOR``; a batched lane may pass its
+    own."""
+    total_words = sum(
+        seg.words
+        for state in replay.state_list
+        for port, _lanes in state.in_ports.values()
+        for seg in port.segments
+    ) + 1
+    return config_cycles + factor * (
+        total_words
+        + sum(s.total_instances * s.ii for s in replay.state_list)
+        + 64
+    )
+
+
 class _Replay:
     """One replay of a built machine state, under either engine.
 
@@ -284,16 +303,8 @@ class _Replay:
         self.region_started = {name: False for name in states}
         self.region_finish = {}
 
-        total_words = sum(
-            seg.words
-            for state in self.state_list
-            for port, _lanes in state.in_ports.values()
-            for seg in port.segments
-        ) + 1
-        self.deadline = sim.config_cycles + _DEADLOCK_FACTOR * (
-            total_words + sum(s.total_instances * s.ii
-                              for s in self.state_list) + 64
-        )
+        self.deadline = deadlock_deadline(self, sim.config_cycles,
+                                          _DEADLOCK_FACTOR)
 
         # Barrier lookups, hoisted: region -> the states of every
         # barrier region that precedes it in program order (previously

@@ -178,7 +178,7 @@ def _corrupting_repair(schedule, adg, rng=None, max_iters=200,
     )
     if cost.is_legal and repaired.routes:
         edge = sorted(repaired.routes, key=repr)[0]
-        del repaired.routes[edge]
+        repaired.remove_route(edge)
     return repaired, cost
 
 

@@ -125,7 +125,7 @@ class TestStripInvalid:
         # Point a stream at a switch: the node exists, but it is not a
         # memory — the pre-fix strip missed exactly this.
         switch = sorted(s.name for s in adg.switches())[0]
-        schedule.stream_binding[key] = switch
+        schedule.bind_stream(*key, switch)
         removed = strip_invalid(schedule, adg)
         assert removed >= 1
         assert key not in schedule.stream_binding

@@ -63,7 +63,8 @@ def check_schedule(sched):
         for key, value in list(table.items()):
             assert table[fresh(key)] == value, key
     for vertex in sched.vertices():
-        assert sched.hw_of(fresh(vertex)) == sched.placement.get(vertex)
+        assert sched.placement.get(fresh(vertex)) \
+            == sched.placement.get(vertex)
     assert_counters_match_oracles(sched)
 
 

@@ -16,6 +16,7 @@ from repro.adg.components import (
     SyncElement,
 )
 from repro.ir import ConfigScope, Dfg, LinearStream, OffloadRegion
+from repro.ir.dfg import NodeKind
 from repro.ir.stream import StreamDirection
 from repro.scheduler import (
     RoutingGraph,
@@ -368,7 +369,7 @@ class TestSchedule:
         scope = dot_scope(fp=True)
         sched = Schedule(scope, adg)
         fmul_vertex = next(
-            v for v in sched.instruction_vertices()
+            v for v in sched.vertices({NodeKind.INSTR})
             if sched.node_of(v).op == "fmul"
         )
         assert sched.candidates_for(fmul_vertex) == ["fpe"]
@@ -412,7 +413,7 @@ class TestSchedule:
         scope = dot_scope(unroll=4)
         sched = Schedule(scope, adg)
         a_vertex = next(
-            v for v in sched.port_vertices()
+            v for v in sched.vertices({NodeKind.INPUT, NodeKind.OUTPUT})
             if sched.node_of(v).name == "a"
         )
         assert sched.candidates_for(a_vertex) == ["wide"]
@@ -422,7 +423,7 @@ class TestSchedule:
         scheduler = SpatialScheduler(adg, max_iters=60)
         sched, cost = scheduler.schedule(dot_scope())
         assert cost.is_legal
-        vertex = sched.instruction_vertices()[0]
+        vertex = sched.vertices({NodeKind.INSTR})[0]
         touching = len(sched.edges_of(vertex))
         routed_before = len(sched.routes)
         sched.unplace(vertex)
@@ -435,7 +436,7 @@ class TestSchedule:
         scheduler = SpatialScheduler(adg, max_iters=60)
         sched, _ = scheduler.schedule(dot_scope())
         twin = sched.clone()
-        twin.placement.clear()
+        twin.clear()
         assert sched.placement
 
 
@@ -448,7 +449,8 @@ class TestStochasticScheduler:
         scheduler = SpatialScheduler(adg, max_iters=150)
         sched, cost = scheduler.schedule(dot_scope())
         assert cost.is_legal, cost
-        assert sched.is_complete()
+        assert not sched.unplaced_vertices()
+        assert not sched.unrouted_edges()
 
     def test_deterministic_given_seed(self):
         adg = topologies.softbrain()
@@ -600,7 +602,7 @@ class TestObjective:
             },
         )
         sched = Schedule(ConfigScope("s", regions=[region]), adg)
-        for vertex in sched.instruction_vertices():
+        for vertex in sched.vertices({NodeKind.INSTR}):
             sched.place(vertex, "shared_pe")
         cost = evaluate_schedule(sched, RoutingGraph(adg))
         assert cost.overuse_pe == 0  # two instrs fit in four slots

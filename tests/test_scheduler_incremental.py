@@ -17,6 +17,7 @@ import gc
 import pickle
 import weakref
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,7 @@ from repro.ir.stream import RecurrenceStream, StreamDirection
 from repro.scheduler import RoutingGraph, Schedule, SpatialScheduler
 from repro.scheduler import stochastic as stochastic_mod
 from repro.scheduler.objective import evaluate_schedule, resource_cost
+from repro.scheduler.schedule import STATS as SCHEDULE_STATS
 from repro.scheduler.schedule import Edge, Vertex
 from repro.scheduler.timing import (
     _pe_initiation_intervals,
@@ -91,65 +93,149 @@ def assert_counters_match_oracles(sched):
     assert not drift, report.describe()
 
 
+# Additions outweigh removals, so the mappings grow between clears.
+MUTATORS = (("place",) * 6 + ("set_route",) * 6 + ("bind_stream",) * 3
+            + ("unplace", "remove_placement", "remove_route",
+               "unbind_stream", "clone", "clear", "rebind", "pickle"))
+
+
 class TestIncrementalCounters:
     def test_randomized_mutations_match_oracles(self):
-        adg = topologies.softbrain()
-        sched = Schedule(dot_scope(n=8, unroll=4), adg)
+        """Every mutator, in random order, with the counters checked
+        against the ``_recompute_*`` oracles and the timing against
+        ``_time_region`` after each step. Re-placing a placed vertex,
+        re-routing a routed edge and re-binding a bound stream replace
+        the entry where it stands: the mapping keeps its key order."""
+        adg = mixed_fabric()
+        memories = [
+            m.name for m in (adg.dma(), adg.scratchpad()) if m is not None
+        ]
+        for memory in memories:  # six ports: overuse comes and goes
+            adg.node(memory).num_stream_slots = 1
+        routing = RoutingGraph(adg)
+        sched = Schedule(timing_scope(), adg)
         rng = DeterministicRng("parity")
         vertices = sched.vertices()
         edges = sched.edges()
         link_ids = [link.link_id for link in adg.links()]
-        memories = [
-            m.name for m in (adg.dma(), adg.scratchpad()) if m is not None
-        ]
-        for memory in memories:  # three ports: overuse comes and goes
-            adg.node(memory).num_stream_slots = 1
-        ports = [("dot", "a"), ("dot", "b"), ("dot", "c")]
-        for step in range(400):
-            op = rng.randint(0, 9)
-            if op <= 2:
-                vertex = rng.choice(vertices)
-                pool = sched.candidates_for(vertex)
+        ports = [(region.name, port) for region in sched.regions()
+                 for port in (*region.input_streams,
+                              *region.output_streams)]
+        replaced = {"placement": 0, "routes": 0, "stream_binding": 0}
+        seen = set()
+
+        def pick(keys, mapped):
+            """Half the time a key that is already mapped."""
+            if mapped and rng.accept(0.5):
+                return rng.choice(list(mapped))
+            return rng.choice(keys)
+
+        for step in range(300):
+            op = MUTATORS[rng.randint(0, len(MUTATORS) - 1)]
+            seen.add(op)
+            mapping, key = None, None
+            if op == "place":
+                key = pick(vertices, sched.placement)
+                pool = sched.candidates_for(key)
                 if pool:
-                    sched.place(vertex, rng.choice(pool))
-            elif op == 3:
+                    mapping = "placement"
+                    before = list(sched.placement)
+                    sched.place(key, rng.choice(pool))
+            elif op == "unplace":
                 sched.unplace(rng.choice(vertices))
-            elif op == 4:
-                # Raw observed-dict mutation (bypasses Schedule methods).
-                sched.placement.pop(rng.choice(vertices), None)
-            elif op <= 6:
+            elif op == "remove_placement":
+                vertex = rng.choice(vertices)
+                delays = dict(sched.input_delays)
+                routes = dict(sched.routes)
+                sched.remove_placement(vertex)
+                assert vertex not in sched.placement
+                assert sched.input_delays == delays
+                assert sched.routes == routes
+            elif op == "set_route":
+                key = pick(edges, sched.routes)
+                mapping = "routes"
+                before = list(sched.routes)
+                sched.set_route(key, rng.sample(link_ids, rng.randint(0, 4)))
+            elif op == "remove_route":
                 edge = rng.choice(edges)
-                hops = rng.randint(0, 4)
-                sched.set_route(edge, rng.sample(link_ids, hops))
-            elif op == 7:
-                sched.routes.pop(rng.choice(edges), None)
-            elif op == 8:
-                region, port = rng.choice(ports)
-                sched.bind_stream(region, port, rng.choice(memories))
-            else:
-                sched.stream_binding.pop(rng.choice(ports), None)
-            if step % 50 == 0:
-                assert_counters_match_oracles(sched)
-            if step == 200:
+                old = sched.routes.get(edge)
+                assert sched.remove_route(edge) == old
+                assert edge not in sched.routes
+            elif op == "bind_stream":
+                key = pick(ports, sched.stream_binding)
+                mapping = "stream_binding"
+                before = list(sched.stream_binding)
+                sched.bind_stream(*key, rng.choice(memories))
+            elif op == "unbind_stream":
+                port = rng.choice(ports)
+                sched.unbind_stream(*port)
+                assert port not in sched.stream_binding
+            elif op == "clone":
                 sched = sched.clone()
-            if step == 300:
+            elif op == "clear":
                 sched.clear()
                 assert sched.pe_load() == {}
                 assert sched.route_length() == 0
+            elif op == "rebind":
+                sched.rebind(adg if rng.accept(0.5) else adg.clone())
+            else:
+                sched = pickle.loads(pickle.dumps(sched))
+            if mapping is not None and key in before[:-1]:
+                replaced[mapping] += 1
+                assert list(getattr(sched, mapping)) == before
+            assert_counters_match_oracles(sched)
+            assert_timing_matches_oracle(sched, routing, bool(step % 2))
+        assert seen == set(MUTATORS)
+        # Each kind replaced some entry that was not the last one.
+        assert all(replaced.values()), replaced
+
+    def test_views_refuse_writes(self):
+        """The mappings are read-only views: a write that would skip the
+        counters raises instead."""
+        adg = topologies.softbrain()
+        sched, _ = SpatialScheduler(adg, max_iters=30).schedule(dot_scope())
+        vertex, hw_name = next(iter(sched.placement.items()))
+        edge, links = next(iter(sched.routes.items()))
+        key, memory = next(iter(sched.stream_binding.items()))
+        def assign(view, key, value):
+            view[key] = value
+
+        def delete(view, key):
+            del view[key]
+
+        for view, key, value in ((sched.placement, vertex, hw_name),
+                                 (sched.routes, edge, links),
+                                 (sched.stream_binding, key, memory)):
+            with pytest.raises(TypeError):
+                assign(view, key, value)
+            with pytest.raises(TypeError):
+                delete(view, key)
+        for name in ("pop", "clear", "update", "setdefault", "popitem"):
+            for view in (sched.placement, sched.routes,
+                         sched.stream_binding):
+                assert not hasattr(view, name), name
+        for name in ("placement", "routes", "stream_binding"):
+            with pytest.raises(AttributeError):
+                setattr(sched, name, {})
         assert_counters_match_oracles(sched)
 
     def test_wholesale_assignment_rebuilds_counters(self):
+        """Loading a whole mapping at once (``load``, which unpickling
+        runs) rebuilds the counters and counts one rebuild."""
         adg = topologies.softbrain()
         scheduler = SpatialScheduler(adg, max_iters=60)
         sched, cost = scheduler.schedule(dot_scope())
         assert cost.is_legal
-        rebuilt = Schedule(sched.scope, adg)
-        rebuilt.placement = dict(sched.placement)
-        rebuilt.routes = {
-            edge: list(links) for edge, links in sched.routes.items()
-        }
-        rebuilt.stream_binding = dict(sched.stream_binding)
-        rebuilt.input_delays = dict(sched.input_delays)
+        rebuilt = sched.clone()
+        unplaced = rebuilt.vertices()[0]
+        rebuilt.unplace(unplaced)
+        rebuilds = SCHEDULE_STATS["load_rebuilds"]
+        rebuilt.load(sched.placement, sched.routes, sched.stream_binding)
+        assert SCHEDULE_STATS["load_rebuilds"] == rebuilds + 1
+        assert rebuilt.input_delays == {}
+        assert dict(rebuilt.placement) == dict(sched.placement)
+        assert dict(rebuilt.routes) == dict(sched.routes)
+        assert dict(rebuilt.stream_binding) == dict(sched.stream_binding)
         assert_counters_match_oracles(rebuilt)
         assert rebuilt.pe_load() == sched.pe_load()
         assert rebuilt.link_values() == sched.link_values()
@@ -159,12 +245,13 @@ class TestIncrementalCounters:
         scheduler = SpatialScheduler(adg, max_iters=80)
         sched, _ = scheduler.schedule(dot_scope(unroll=4))
         rebuilt = Schedule(sched.scope, adg)
-        rebuilt.placement = dict(sched.placement)
-        rebuilt.routes = {
-            edge: list(links) for edge, links in sched.routes.items()
-        }
-        rebuilt.stream_binding = dict(sched.stream_binding)
-        rebuilt.input_delays = dict(sched.input_delays)
+        for vertex, hw_name in sched.placement.items():
+            rebuilt.place(vertex, hw_name)
+        for edge, links in sched.routes.items():
+            rebuilt.set_route(edge, links)
+        for (region, port), memory in sched.stream_binding.items():
+            rebuilt.bind_stream(region, port, memory)
+        rebuilt.input_delays.update(sched.input_delays)
         routing = RoutingGraph(adg)
         assert evaluate_schedule(sched, routing) == evaluate_schedule(
             rebuilt, routing
@@ -217,11 +304,11 @@ class TestIncrementalCounters:
         adg = topologies.softbrain()
         sched = Schedule(dot_scope(unroll=4), adg)
         pes = [pe.name for pe in adg.pes()]
-        for vertex in sched.instruction_vertices():
+        for vertex in sched.vertices({NodeKind.INSTR}):
             sched.place(vertex, pes[0])  # all on one dedicated PE
-        sched.place(sched.instruction_vertices()[0], pes[1])
+        sched.place(sched.vertices({NodeKind.INSTR})[0], pes[1])
         assert sched.overuse()["pe"] == len(
-            sched.instruction_vertices()) - 2
+            sched.vertices({NodeKind.INSTR})) - 2
         # The edited hardware shares the crowded PE and drops the other.
         edited = adg.clone()
         crowded = edited.node(pes[0])
@@ -231,9 +318,9 @@ class TestIncrementalCounters:
         sched.rebind(edited)
         assert sched.overuse() == sched._recompute_overuse()
         assert sched.overuse()["pe"] == max(
-            0, len(sched.instruction_vertices()) - 1 - 4)
+            0, len(sched.vertices({NodeKind.INSTR})) - 1 - 4)
         # Stripping the placement on the removed PE keeps them in step.
-        sched.unplace(sched.instruction_vertices()[0])
+        sched.unplace(sched.vertices({NodeKind.INSTR})[0])
         assert_counters_match_oracles(sched)
 
     def test_memory_overuse_is_a_running_count(self):
@@ -245,7 +332,7 @@ class TestIncrementalCounters:
             sched.bind_stream("dot", port, dma)
         assert sched.overuse()["memory"] == 2
         assert resource_cost(sched).overuse_memory == 2
-        sched.stream_binding.pop(("dot", "a"))
+        sched.unbind_stream("dot", "a")
         assert sched.overuse()["memory"] == 1
         # More slots on the edited hardware: rebind recounts.
         edited = adg.clone()
@@ -256,7 +343,8 @@ class TestIncrementalCounters:
         assert sched.overuse()["memory"] == 1
         assert_counters_match_oracles(sched)
         twin = sched.clone()
-        twin.stream_binding = {}
+        for region, port in list(twin.stream_binding):
+            twin.unbind_stream(region, port)
         assert twin.overuse()["memory"] == 0
         assert sched.overuse()["memory"] == 1
         assert_counters_match_oracles(twin)
@@ -294,7 +382,7 @@ class TestTimingCache:
         # Mutating r0 invalidates only r0.
         vertex = next(v for v in sched.placement if v.region == "r0")
         hw = sched.placement[vertex]
-        sched.placement.pop(vertex)
+        sched.remove_placement(vertex)
         sched.place(vertex, hw)
         compute_timing(sched, scheduler.routing, telemetry=telemetry)
         assert delta("timing_region_recomputes") == recomputes + 1
@@ -305,7 +393,7 @@ class TestTimingCache:
         telemetry = Telemetry()
         scheduler = SpatialScheduler(adg, max_iters=60)
         sched, _ = scheduler.schedule(dot_scope())
-        sched.placement.pop(next(iter(sched.placement)))  # dirties the region
+        sched.remove_placement(next(iter(sched.placement)))  # dirties it
         compute_timing(sched, scheduler.routing, assign_delays=False,
                        telemetry=telemetry)
         hits = telemetry.counters.get("timing_region_cache_hits", 0)
@@ -432,9 +520,9 @@ def assert_timing_matches_oracle(sched, routing, assign_delays):
     )
 
 
-MUTATIONS = ("place", "place", "place", "unplace", "route", "route",
-             "unroute", "reroute", "swap_revert", "clone", "rebind",
-             "clear")
+MUTATIONS = ("place", "place", "place", "unplace", "remove_placement",
+             "route", "route", "unroute", "reroute", "swap_revert",
+             "clone", "rebind", "clear")
 
 
 class TestDirtySuffixTiming:
@@ -452,7 +540,7 @@ class TestDirtySuffixTiming:
         vertices = sched.vertices()
         edges = sched.edges()
         link_ids = [link.link_id for link in adg.links()]
-        instrs = sched.instruction_vertices()
+        instrs = sched.vertices({NodeKind.INSTR})
 
         def route(edge, salt):
             src = sched.placement.get(edge.src)
@@ -478,9 +566,11 @@ class TestDirtySuffixTiming:
             elif op == "route":
                 route(edge, second)
             elif op == "unroute":
-                sched.routes.pop(edge, None)
+                sched.remove_route(edge)
+            elif op == "remove_placement":
+                sched.remove_placement(vertices[first % len(vertices)])
             elif op == "reroute":
-                old = sched.routes.pop(edge, None)
+                old = sched.remove_route(edge)
                 route(edge, second)
                 if edge not in sched.routes and old is not None:
                     sched.set_route(edge, old)
@@ -577,11 +667,11 @@ class TestDirtySuffixTiming:
         # PE changes neither its finish time nor its PE: it alone is
         # re-timed, and the output keeps its cached timing.
         acc = next(
-            v for v in sched.instruction_vertices()
+            v for v in sched.vertices({NodeKind.INSTR})
             if sched.node_of(v).reduction
         )
         hw = sched.placement[acc]
-        sched.placement.pop(acc)
+        sched.remove_placement(acc)
         sched.place(acc, hw)
         compute_timing(sched, scheduler.routing, telemetry=telemetry)
         assert telemetry.counters["timing_region_recomputes"] == 1
@@ -595,7 +685,7 @@ class TestDirtySuffixTiming:
         output = plan.consumers[plan.position[acc.node_id]]
         assert len(output) == 1 and plan.steps[output[0]][1] is False
         before, _ = sched.cached_region_timing("dot")
-        sched.routes.pop(into_acc)
+        sched.remove_route(into_acc)
         compute_timing(sched, scheduler.routing, telemetry=telemetry)
         assert telemetry.counters["timing_region_recomputes"] == 2
         assert telemetry.counters["timing_nodes_retimed"] == 1 + 2

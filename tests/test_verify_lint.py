@@ -49,7 +49,7 @@ def test_instruction_on_switch_is_kind_error(mapped):
         v for v in schedule.vertices()
         if schedule.node_of(v).kind.value == "instr"
     )
-    schedule.placement[vertex] = adg.switches()[0].name
+    schedule.place(vertex, adg.switches()[0].name)
     report = lint_schedule(schedule, adg)
     assert "placement.kind" in report.codes()
 
@@ -57,7 +57,8 @@ def test_instruction_on_switch_is_kind_error(mapped):
 def test_placement_on_unknown_node(mapped):
     adg, schedule = _clone(mapped)
     vertex = schedule.vertices()[0]
-    schedule.placement[vertex] = "no_such_component"
+    # place() refuses unknown targets: corrupt through its unchecked step.
+    schedule._place(vertex, "no_such_component")
     report = lint_schedule(schedule, adg)
     assert "placement.unknown-node" in report.codes()
 
@@ -68,7 +69,7 @@ def test_port_on_wrong_direction(mapped):
         v for v in schedule.vertices()
         if schedule.node_of(v).kind.value == "input"
     )
-    schedule.placement[vertex] = adg.output_ports()[0].name
+    schedule.place(vertex, adg.output_ports()[0].name)
     report = lint_schedule(schedule, adg)
     assert "placement.capability" in report.codes()
 
@@ -76,7 +77,7 @@ def test_port_on_wrong_direction(mapped):
 def test_truncated_route_is_sink_mismatch(mapped):
     adg, schedule = _clone(mapped)
     edge = next(e for e, ls in schedule.routes.items() if len(ls) >= 2)
-    schedule.routes[edge] = schedule.routes[edge][:-1]
+    schedule.set_route(edge, schedule.routes[edge][:-1])
     report = lint_schedule(schedule, adg)
     assert "route.sink-mismatch" in report.codes()
 
@@ -85,7 +86,7 @@ def test_gap_in_route_is_disconnected(mapped):
     adg, schedule = _clone(mapped)
     edge = next(e for e, ls in schedule.routes.items() if len(ls) >= 3)
     links = schedule.routes[edge]
-    schedule.routes[edge] = [links[0]] + links[2:]
+    schedule.set_route(edge, [links[0]] + links[2:])
     report = lint_schedule(schedule, adg)
     codes = report.codes()
     assert "route.disconnected" in codes or "route.sink-mismatch" in codes
@@ -94,7 +95,7 @@ def test_gap_in_route_is_disconnected(mapped):
 def test_unknown_link_in_route(mapped):
     adg, schedule = _clone(mapped)
     edge = next(e for e, ls in schedule.routes.items() if ls)
-    schedule.routes[edge] = [999999]
+    schedule.set_route(edge, [999999])
     report = lint_schedule(schedule, adg)
     assert "route.unknown-link" in report.codes()
 
@@ -105,8 +106,8 @@ def test_oversubscribed_link(mapped):
     first = routed[0]
     second = next(e for e in routed[1:] if e.value != first.value)
     # Splice first's link into second's route to create 2 values on it.
-    schedule.routes[second] = (
-        [schedule.routes[first][0]] + schedule.routes[second]
+    schedule.set_route(
+        second, [schedule.routes[first][0]] + schedule.routes[second]
     )
     strict = lint_schedule(schedule, adg)
     assert "route.oversubscribed" in strict.codes()
@@ -134,10 +135,11 @@ def test_delay_bounds(mapped):
 def test_stream_binding_faults(mapped):
     adg, schedule = _clone(mapped)
     (region, port) = next(iter(schedule.stream_binding))
-    schedule.stream_binding[(region, port)] = "nonexistent_memory"
+    # bind_stream() refuses unknown memories: use its unchecked step.
+    schedule._bind_stream((region, port), "nonexistent_memory")
     report = lint_schedule(schedule, adg)
     assert "stream.unknown-memory" in report.codes()
-    schedule.stream_binding[(region, port)] = adg.pes()[0].name
+    schedule.bind_stream(region, port, adg.pes()[0].name)
     report = lint_schedule(schedule, adg)
     assert "stream.not-a-memory" in report.codes()
 
@@ -145,7 +147,7 @@ def test_stream_binding_faults(mapped):
 def test_unbound_memory_stream(mapped):
     adg, schedule = _clone(mapped)
     key = next(iter(schedule.stream_binding))
-    del schedule.stream_binding[key]
+    schedule.unbind_stream(*key)
     strict = lint_schedule(schedule, adg)
     assert "stream.unbound" in strict.codes()
     partial = lint_schedule(schedule, adg, allow_partial=True)
@@ -205,7 +207,7 @@ def test_delay_fifo_bound_respected_by_scheduler(mapped):
 
 def test_diagnostic_roundtrip(mapped):
     adg, schedule = _clone(mapped)
-    schedule.routes[next(iter(schedule.routes))] = [999999]
+    schedule.set_route(next(iter(schedule.routes)), [999999])
     report = lint_schedule(schedule, adg)
     from repro.verify.diagnostics import Diagnostic
 
