@@ -214,9 +214,6 @@ class Adg:
         """Distinct successor node names."""
         return sorted({self._links[i].dst for i in self._out[name]})
 
-    def predecessors(self, name):
-        return sorted({self._links[i].src for i in self._in[name]})
-
     def links_between(self, src, dst):
         return [
             self._links[i] for i in sorted(self._out[src])

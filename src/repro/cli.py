@@ -56,7 +56,7 @@ def _target_adg(name):
         )
 
 
-def _run_compiled(adg, workload, result, do_simulate, sim_engine=None):
+def _run_compiled(adg, workload, result, do_simulate):
     print(f"variant: {result.params.describe()}  "
           f"estimated cycles: {result.perf.cycles:.0f}")
     print(f"schedule: {result.schedule.summary()}")
@@ -65,7 +65,7 @@ def _run_compiled(adg, workload, result, do_simulate, sim_engine=None):
     memory = workload.make_memory()
     result.scope.bind_constants(memory)
     reference = copy.deepcopy(memory)
-    sim = simulate(adg, result, memory, engine=sim_engine)
+    sim = simulate(adg, result, memory)
     workload.reference(reference)
     import math
 
@@ -106,8 +106,7 @@ def cmd_run(args):
         for params, reason in result.rejected:
             print(f"  {params.describe()}: {reason[:100]}")
         return 1
-    _run_compiled(adg, workload, result, not args.no_simulate,
-                  sim_engine=args.sim_engine)
+    _run_compiled(adg, workload, result, not args.no_simulate)
     return 0
 
 
@@ -132,8 +131,7 @@ def cmd_compile(args):
         print("no legal mapping")
         return 1
     print(describe_scope(result.scope))
-    _run_compiled(adg, workload, result, not args.no_simulate,
-                  sim_engine=args.sim_engine)
+    _run_compiled(adg, workload, result, not args.no_simulate)
     if args.dot:
         from repro.ir.printer import dfg_to_dot
 
@@ -643,11 +641,9 @@ def cmd_report(args):
             f"{', '.join(sorted(drivers))}"
         )
     driver = drivers[args.figure]
-    # Pass engine/telemetry options only to harnesses that take them.
+    # Pass the run log only to harnesses that take one.
     accepted = inspect.signature(driver).parameters
     kwargs = {}
-    if args.sim_engine and "sim_engine" in accepted:
-        kwargs["sim_engine"] = args.sim_engine
     if args.telemetry_out and "telemetry_out" in accepted:
         kwargs["telemetry_out"] = args.telemetry_out
     outcome = driver(**kwargs)
@@ -674,10 +670,6 @@ def build_parser():
     run_parser.add_argument("--sched-iters", type=int, default=150)
     run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument("--no-simulate", action="store_true")
-    run_parser.add_argument("--sim-engine", default=None,
-                            choices=list(SIM_ENGINES),
-                            help="simulator replay loop (default: "
-                                 "event; all are bit-identical)")
 
     compile_parser = sub.add_parser(
         "compile", help="compile an annotated C file"
@@ -692,8 +684,6 @@ def build_parser():
     compile_parser.add_argument("--sched-iters", type=int, default=150)
     compile_parser.add_argument("--seed", type=int, default=0)
     compile_parser.add_argument("--no-simulate", action="store_true")
-    compile_parser.add_argument("--sim-engine", default=None,
-                                choices=list(SIM_ENGINES))
     compile_parser.add_argument("--dot", default=None,
                                 help="write region DFGs as DOT")
 
@@ -862,7 +852,7 @@ def build_parser():
     faults_parser.add_argument("--workers", type=int, default=1,
                                help="case-evaluation processes")
     faults_parser.add_argument("--sim-engine", default=None,
-                               choices=list(SIM_ENGINES),
+                               choices=[*SIM_ENGINES, "batched"],
                                help="simulator replay loop; 'batched' "
                                     "simulates all cases of a workload "
                                     "as one columnar batch")
@@ -989,7 +979,10 @@ def build_parser():
     submit_parser.add_argument("--seed", type=int, default=0)
     submit_parser.add_argument("--sched-iters", type=int, default=60)
     submit_parser.add_argument("--sim-engine", default=None,
-                               choices=list(SIM_ENGINES))
+                               choices=[*SIM_ENGINES, "batched"],
+                               help="replay loop of simulate and "
+                                    "faults jobs; 'batched' applies to "
+                                    "faults only")
     submit_parser.add_argument("--options", default=None,
                                metavar="JSON",
                                help="kind-specific options, e.g. "
@@ -1018,10 +1011,6 @@ def build_parser():
         "report", help="regenerate a paper table/figure"
     )
     report_parser.add_argument("figure")
-    report_parser.add_argument("--sim-engine", default=None,
-                               choices=list(SIM_ENGINES),
-                               help="simulator replay loop for "
-                                    "harnesses that simulate")
     report_parser.add_argument("--telemetry-out", default=None,
                                help="write the harness run log "
                                     "(JSONL) here")

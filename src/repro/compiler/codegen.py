@@ -50,9 +50,6 @@ class ControlProgram:
     scope_name: str
     commands: list = field(default_factory=list)
 
-    def issue_cycle_total(self):
-        return sum(command.issue_cycles for command in self.commands)
-
     def stream_commands(self):
         return [
             c for c in self.commands

@@ -19,7 +19,7 @@ fails outright for capability reasons.
 """
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import CompilationError
 
@@ -153,11 +153,3 @@ class Kernel:
     def fallback_params(self):
         """The always-legal variant (scalar, no optional features)."""
         return VariantParams()
-
-    def with_space(self, **updates):
-        """Copy with an adjusted variant space (used by ablations)."""
-        import copy
-
-        twin = copy.copy(self)
-        twin.space = replace(self.space, **updates)
-        return twin

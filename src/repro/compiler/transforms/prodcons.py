@@ -53,11 +53,3 @@ def forward_value(scope, producer_name, producer_port, consumer_name,
     # overlap them instead of serializing on a fence.
     consumer.metadata.setdefault("forwarded_from", []).append(producer_name)
     return scope
-
-
-def serialize_through_memory(scope, producer_name):
-    """The fallback when forwarding is disabled: a memory fence after the
-    producer (the consumer then reads the value from memory)."""
-    if producer_name not in scope.barriers:
-        scope.barriers.append(producer_name)
-    return scope

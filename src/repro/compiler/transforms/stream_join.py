@@ -70,14 +70,6 @@ def make_join_region(
     return region
 
 
-def requires_dynamic_hardware(region):
-    """Does this region need dynamic PEs? (transformed joins do; the
-    serialized fallback does not)."""
-    if region.join_spec is None:
-        return False
-    return not region.metadata.get("serial_join", False)
-
-
 def estimate_join_instances(left_length, right_length, mode="intersect"):
     """Trip-count estimate for data-dependent joins.
 

@@ -19,9 +19,6 @@
   partitions a kernel set into clusters served by capability-union
   fabrics and explores merged vs. partitioned vs. per-kernel
   compositions under a shared area budget.
-* :mod:`repro.dse.finalist_sim` — batched cycle-level measurement of
-  finalist designs through :func:`repro.sim.batched.simulate_batch`,
-  grouped by fabric fingerprint.
 """
 
 from repro.dse.mutation import MUTATIONS, AdgMutator, sample_generation
@@ -41,7 +38,6 @@ from repro.dse.compose import (
     run_compose,
     specialize_kernels,
 )
-from repro.dse.finalist_sim import FinalistCase, simulate_finalists
 
 __all__ = [
     "AdgMutator",
@@ -59,6 +55,4 @@ __all__ = [
     "partition_strategy",
     "run_compose",
     "specialize_kernels",
-    "FinalistCase",
-    "simulate_finalists",
 ]

@@ -70,10 +70,6 @@ class DseResult:
     initial_area: float = 0.0
     initial_power: float = 0.0
     telemetry: dict = field(default_factory=dict)
-    #: Simulated cycles per kernel on the winning design (filled only
-    #: when ``run(measure_finalists=True)``; the search itself always
-    #: scores with the analytical model).
-    measured_cycles: dict = field(default_factory=dict)
 
     @property
     def final_area(self):
@@ -351,8 +347,7 @@ class DesignSpaceExplorer(GenerationFunnel):
     # ------------------------------------------------------------------
     def run(self, max_iters=50, patience=None, mutations_per_step=None,
             workers=None, batch=None, eval_timeout=None,
-            checkpoint_path=None, checkpoint_every=1, resume=False,
-            measure_finalists=False):
+            checkpoint_path=None, checkpoint_every=1, resume=False):
         """Explore for up to ``max_iters`` generations.
 
         ``patience`` stops after that many generations without
@@ -368,14 +363,6 @@ class DesignSpaceExplorer(GenerationFunnel):
         trajectory is bit-identical to an uninterrupted one at equal
         seed). ``eval_timeout`` bounds each pooled candidate evaluation
         in seconds. Returns a :class:`DseResult`.
-
-        ``measure_finalists=True`` ends the run with one batched
-        cycle-level simulation of the winning design's kernels
-        (:mod:`repro.dse.finalist_sim`): all kernels share the final
-        fabric, so they form a single ``simulate_batch`` topology group,
-        and per-group parity against the scalar engine is asserted. The
-        measured cycles land in ``result.measured_cycles`` — the search
-        trajectory is untouched.
         """
         workers = self.workers if workers is None else max(1, int(workers))
         batch = batch if batch is not None else self.batch
@@ -474,38 +461,6 @@ class DesignSpaceExplorer(GenerationFunnel):
                 width, finalists, sample, checkpoint_path,
                 checkpoint_every,
             )
-
-        if measure_finalists and result.kernel_results:
-            # Deferred import: finalist_sim pulls in the simulator stack,
-            # which most DSE runs never need.
-            from repro.dse.finalist_sim import (
-                FinalistCase,
-                simulate_finalists,
-            )
-
-            kernels_by_name = {k.name: k for k in self.kernels}
-            cases = [
-                FinalistCase(
-                    label=name, adg=result.best_adg, compiled=compiled,
-                    kernel=kernels_by_name[name],
-                )
-                for name, compiled in sorted(
-                    result.kernel_results.items()
-                )
-                if name in kernels_by_name
-            ]
-            with telemetry.timer("measure_finalists"):
-                measured = simulate_finalists(
-                    cases, telemetry=telemetry, assert_parity=True,
-                )
-            result.measured_cycles = measured.cycles()
-            telemetry.event({
-                "type": "measured_finalists",
-                "groups": measured.groups,
-                "lanes": measured.lanes,
-                "cycles": dict(result.measured_cycles),
-                "errors": sorted(measured.errors),
-            })
 
         wall = time.perf_counter() - run_start
         evaluated = telemetry.counters.get("candidates_evaluated", 0)

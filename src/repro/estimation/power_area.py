@@ -53,16 +53,6 @@ class AreaPowerModel:
             power += p
         return area, power
 
-    def breakdown(self, adg):
-        """Per-component-kind area/power shares (for reports)."""
-        by_kind = {}
-        for component in adg.nodes():
-            a, p = self.component_estimate(adg, component)
-            kind = component.KIND
-            area, power = by_kind.get(kind, (0.0, 0.0))
-            by_kind[kind] = (area + a, power + p)
-        return by_kind
-
 
 _DEFAULT_MODEL = None
 

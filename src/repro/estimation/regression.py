@@ -126,21 +126,3 @@ def fit_regression(dataset):
             type_name, area_weights, power_weights
         )
     return models
-
-
-def validation_error(models, dataset):
-    """Mean relative prediction error per component type (model QA)."""
-    errors = {}
-    for type_name, rows in dataset.items():
-        model = models.get(type_name)
-        if model is None:
-            continue
-        rel = []
-        for features, area, power in rows:
-            pred_area, pred_power = model.predict(features)
-            if area > 0:
-                rel.append(abs(pred_area - area) / area)
-            if power > 0:
-                rel.append(abs(pred_power - power) / power)
-        errors[type_name] = float(np.mean(rel)) if rel else 0.0
-    return errors

@@ -158,14 +158,16 @@ def run_campaign(
     Miscompiled cases are shrunk (when ``shrink``) and written as repro
     files under ``out_dir``. ``progress`` is an optional
     ``callback(index, case, outcome)`` invoked per completed case.
-    ``sim_engine="batched"`` simulates all cases of a workload as lanes
-    of one columnar batch (one pool task per workload group, so the fork
-    pool still parallelizes across workloads); other engines run one
-    case per pool task.
+    ``sim_engine`` is a scalar engine of :func:`repro.sim.simulate`, run
+    one case per pool task, or ``"batched"``, which simulates all cases
+    of a workload as lanes of one :func:`repro.sim.simulate_batch` call
+    (one pool task per workload group, so the fork pool still
+    parallelizes across workloads).
     """
-    if sim_engine is not None and sim_engine not in SIM_ENGINES:
+    engines = (*SIM_ENGINES, "batched")
+    if sim_engine is not None and sim_engine not in engines:
         raise ValueError(
-            f"unknown sim engine {sim_engine!r}; one of {SIM_ENGINES}"
+            f"unknown sim engine {sim_engine!r}; one of {engines}"
         )
     telemetry = telemetry if telemetry is not None else Telemetry()
     summary = CampaignSummary(seed=seed)

@@ -124,6 +124,3 @@ class Function:
     params: list = field(default_factory=list)
     body: Block = None
     line: int = 0
-
-    def array_params(self):
-        return [p.name for p in self.params if p.is_pointer]

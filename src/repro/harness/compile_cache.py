@@ -80,15 +80,10 @@ def configure(max_entries=DEFAULT_MAX_ENTRIES):
 def attach_store(store):
     """Back the memo with a persistent artifact store. Memo misses
     consult ``store.get``; fresh compiles are written back with
-    ``store.put``."""
+    ``store.put``. ``None`` detaches the memo from any store."""
     global _store, _env_checked
     _store = store
     _env_checked = True
-
-
-def detach_store():
-    global _store
-    _store = None
 
 
 _env_checked = False

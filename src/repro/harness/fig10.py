@@ -40,7 +40,7 @@ DEFAULT_MATRIX = {
 
 
 def run(matrix=None, scale=0.1, sched_iters=150, manual_iters=300,
-        verbose=False, sim_engine=None, telemetry_out=None):
+        verbose=False, telemetry_out=None):
     """Returns ``(rows, summary)``.
 
     Each row: accelerator, workload, compiled/manual simulated cycles,
@@ -48,10 +48,8 @@ def run(matrix=None, scale=0.1, sched_iters=150, manual_iters=300,
     (manual/compiled cycle ratio, capped at 1.25 to mirror the paper's
     presentation where the compiler occasionally wins).
 
-    ``sim_engine`` picks the simulator replay loop (``"event"`` or
-    ``"stepped"``; both bit-identical); ``telemetry_out`` appends a
-    JSONL run log with per-pair events and the aggregate ``sim_*`` /
-    ``compile_cache_*`` counters.
+    ``telemetry_out`` appends a JSONL run log with per-pair events and
+    the aggregate ``sim_*`` / ``compile_cache_*`` counters.
     """
     matrix = matrix or DEFAULT_MATRIX
     telemetry = Telemetry(jsonl_path=telemetry_out)
@@ -82,12 +80,10 @@ def run(matrix=None, scale=0.1, sched_iters=150, manual_iters=300,
                 manual_memory = manual.workload.make_memory()
                 manual.scope.bind_constants(manual_memory)
                 sim_compiled = simulate(
-                    adg, compiled, compiled_memory,
-                    engine=sim_engine, telemetry=telemetry,
+                    adg, compiled, compiled_memory, telemetry=telemetry,
                 )
                 sim_manual = simulate(
-                    adg, manual, manual_memory,
-                    engine=sim_engine, telemetry=telemetry,
+                    adg, manual, manual_memory, telemetry=telemetry,
                 )
                 row["compiled_cycles"] = sim_compiled.cycles
                 row["manual_cycles"] = sim_manual.cycles

@@ -29,7 +29,7 @@ DEFAULT_KERNELS = (
 
 
 def run(kernel_names=DEFAULT_KERNELS, preset="softbrain", scale=0.1,
-        sched_iters=150, sim_engine=None, telemetry_out=None):
+        sched_iters=150, telemetry_out=None):
     adg = topologies.PRESETS[preset]()
     model = PerformanceModel()
     telemetry = Telemetry(jsonl_path=telemetry_out)
@@ -60,8 +60,7 @@ def run(kernel_names=DEFAULT_KERNELS, preset="softbrain", scale=0.1,
             )
             memory = workload.make_memory()
             compiled.scope.bind_constants(memory)
-            sim = simulate(adg, compiled, memory,
-                           engine=sim_engine, telemetry=telemetry)
+            sim = simulate(adg, compiled, memory, telemetry=telemetry)
             row["model_cycles"] = estimate.cycles
             row["sim_cycles"] = sim.cycles
             row["error_pct"] = 100.0 * abs(

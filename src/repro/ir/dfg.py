@@ -191,17 +191,6 @@ class Dfg:
     def __len__(self):
         return len(self._nodes)
 
-    def users_of(self, node_id):
-        """Nodes consuming any lane of ``node_id``."""
-        users = []
-        for node in self._nodes.values():
-            refs = list(node.operands)
-            if node.predicate is not None:
-                refs.append(node.predicate)
-            if any(ref.node_id == node_id for ref in refs):
-                users.append(node)
-        return users
-
     def edges(self):
         """All (producer_id, consumer_id, operand_index, lane) tuples.
 

@@ -84,14 +84,6 @@ class LinearStream(StreamBase):
             total += self.length + outer * self.length_stretch
         return total
 
-    @property
-    def is_inductive(self):
-        return self.length_stretch != 0
-
-    @property
-    def is_2d(self):
-        return self.outer_length > 1
-
 
 @dataclass
 class IndirectStream(StreamBase):

@@ -15,7 +15,7 @@ library subset covering the opcodes a PE must support.
 
 from dataclasses import dataclass
 
-from repro.isa.opcodes import OPCODES, OpCategory, opcode
+from repro.isa.opcodes import OPCODES, opcode
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,3 @@ def select_functional_units(op_names, width=64):
 def categories_of(op_names):
     """The set of :class:`OpCategory` values used by ``op_names``."""
     return {OPCODES[name].category for name in op_names}
-
-
-def is_control_only(op_names):
-    """True when every opcode is in the CONTROL category."""
-    return bool(op_names) and categories_of(op_names) == {OpCategory.CONTROL}

@@ -62,13 +62,6 @@ class TimingResult:
     regions: dict = field(default_factory=dict)
 
     @property
-    def total_violations(self):
-        return sum(
-            t.skew_violations + t.flow_violations
-            for t in self.regions.values()
-        )
-
-    @property
     def max_ii(self):
         return max((t.ii for t in self.regions.values()), default=1)
 

@@ -11,13 +11,13 @@ scheduled fabric firing instances at its initiation interval and pipeline
 latency. This mirrors how decoupled architectures behave: dataflow values
 are timing-independent while throughput is resource-bound.
 
-Three replay engines produce bit-identical results: ``"event"`` (the
+Two replay engines produce bit-identical results: ``"event"`` (the
 default) skips quiet cycles and batch-fires steady-state windows;
-``"stepped"`` advances one cycle at a time and serves as the oracle;
-``"batched"`` (:mod:`repro.sim.batched`) steps many simulation
-instances in lock-step on structure-of-arrays state — the campaign-
-scale throughput engine, with :func:`simulate_batch` as its many-case
-entry point.
+``"stepped"`` advances one cycle at a time and serves as the oracle.
+:func:`simulate_batch` (:mod:`repro.sim.batched`) steps many cases of
+one structure in lock-step on structure-of-arrays state, each lane
+bit-identical to a ``stepped`` run: the columnar engine behind fault
+campaigns' ``sim_engine="batched"``.
 """
 
 from repro.sim.batched import BatchCase, simulate_batch

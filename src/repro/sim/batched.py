@@ -37,12 +37,11 @@ Layout and discipline:
   a diverging lane never poisons the batch and its
   :class:`SimulationError` diagnostics are identical by construction.
 
-``simulate_batch`` is the public entry point; ``engine="batched"`` on
-:func:`repro.sim.simulate` routes a single-case run through the same
-machinery.
+``simulate_batch`` is the only entry point: single-case runs use the
+scalar engines of :func:`repro.sim.simulate`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as _np
 
@@ -94,7 +93,6 @@ class _GroupFallback(Exception):
 
 @dataclass
 class _Lane:
-    index: int
     sim: CycleSimulator
     case: BatchCase
     trace: dict = None
@@ -102,7 +100,6 @@ class _Lane:
     deadline_override: int = None
     result: object = None
     error: SimulationError = None
-    evicted: bool = False
 
     @property
     def memory(self):
@@ -1330,13 +1327,6 @@ def _scalar_rerun(lane, stats):
         lane.error = exc
     stats["steps"] += replay.steps
     stats["evicted"] += 1
-    lane.evicted = True
-
-
-def _new_stats():
-    return {"steps": 0, "idle_jumps": 0, "idle_cycles": 0,
-            "bulk_jumps": 0, "bulk_cycles": 0, "bulk_instances": 0,
-            "evicted": 0, "groups": 0, "functional_shared": 0}
 
 
 def _simulate_lanes(lanes, telemetry, stats):
@@ -1400,21 +1390,6 @@ def _simulate_lanes(lanes, telemetry, stats):
                     lane.result = machine.result_for(li)
 
 
-def _emit_batch_counters(telemetry, lanes, stats):
-    telemetry.incr("sim_batch_runs")
-    telemetry.incr("sim_batch_lanes", len(lanes))
-    telemetry.incr("sim_batch_groups", stats["groups"])
-    telemetry.incr("sim_batch_lanes_evicted", stats["evicted"])
-    telemetry.incr("sim_batch_steps", stats["steps"])
-    telemetry.incr("sim_batch_idle_jumps", stats["idle_jumps"])
-    telemetry.incr("sim_batch_idle_cycles_skipped", stats["idle_cycles"])
-    telemetry.incr("sim_batch_bulk_fire_events", stats["bulk_jumps"])
-    telemetry.incr("sim_batch_bulk_cycles_skipped", stats["bulk_cycles"])
-    telemetry.incr("sim_batch_bulk_instances", stats["bulk_instances"])
-    telemetry.incr("sim_batch_functional_shared",
-                   stats["functional_shared"])
-
-
 def simulate_batch(adg, compiled, cases, telemetry=None):
     """Simulate many cases in lock-step; returns one entry per case.
 
@@ -1434,7 +1409,7 @@ def simulate_batch(adg, compiled, cases, telemetry=None):
     """
     telemetry = telemetry or Telemetry(enabled=False)
     lanes = []
-    for index, case in enumerate(cases):
+    for case in cases:
         if not isinstance(case, BatchCase):
             case = BatchCase(memory=case)
         sim = CycleSimulator(
@@ -1447,36 +1422,25 @@ def simulate_batch(adg, compiled, cases, telemetry=None):
                      else compiled).program,
             config_cycles=case.config_cycles,
         )
-        lanes.append(_Lane(index, sim, case))
+        lanes.append(_Lane(sim, case))
     if not lanes:
         return []
-    stats = _new_stats()
+    stats = {"steps": 0, "idle_jumps": 0, "idle_cycles": 0,
+             "bulk_jumps": 0, "bulk_cycles": 0, "bulk_instances": 0,
+             "evicted": 0, "groups": 0, "functional_shared": 0}
     _simulate_lanes(lanes, telemetry, stats)
-    _emit_batch_counters(telemetry, lanes, stats)
+    telemetry.incr("sim_batch_runs")
+    telemetry.incr("sim_batch_lanes", len(lanes))
+    telemetry.incr("sim_batch_groups", stats["groups"])
+    telemetry.incr("sim_batch_lanes_evicted", stats["evicted"])
+    telemetry.incr("sim_batch_steps", stats["steps"])
+    telemetry.incr("sim_batch_idle_jumps", stats["idle_jumps"])
+    telemetry.incr("sim_batch_idle_cycles_skipped", stats["idle_cycles"])
+    telemetry.incr("sim_batch_bulk_fire_events", stats["bulk_jumps"])
+    telemetry.incr("sim_batch_bulk_cycles_skipped", stats["bulk_cycles"])
+    telemetry.incr("sim_batch_bulk_instances", stats["bulk_instances"])
+    telemetry.incr("sim_batch_functional_shared",
+                   stats["functional_shared"])
     return [lane.error if lane.error is not None else lane.result
             for lane in lanes]
 
-
-def run_single_batched(sim, memory, telemetry=None):
-    """``engine="batched"`` entry for :meth:`CycleSimulator.run`: a
-    one-lane batch with the scalar engine's telemetry contract (the
-    accounting invariant ``sim_steps_executed + sim_cycles_skipped ==
-    sim_cycles_modeled`` holds here too)."""
-    telemetry = telemetry or Telemetry(enabled=False)
-    lane = _Lane(0, sim, BatchCase(memory=memory))
-    stats = _new_stats()
-    _simulate_lanes([lane], telemetry, stats)
-    _emit_batch_counters(telemetry, [lane], stats)
-    if lane.error is not None:
-        raise lane.error
-    telemetry.incr("sim_runs")
-    telemetry.incr("sim_cycles_modeled", lane.result.cycles)
-    telemetry.incr("sim_steps_executed", stats["steps"])
-    telemetry.incr("sim_cycles_skipped",
-                   stats["idle_cycles"] + stats["bulk_cycles"])
-    telemetry.incr("sim_idle_jumps", stats["idle_jumps"])
-    telemetry.incr("sim_idle_cycles_skipped", stats["idle_cycles"])
-    telemetry.incr("sim_bulk_fire_events", stats["bulk_jumps"])
-    telemetry.incr("sim_bulk_cycles_skipped", stats["bulk_cycles"])
-    telemetry.incr("sim_bulk_instances", stats["bulk_instances"])
-    return lane.result

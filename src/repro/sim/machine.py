@@ -68,9 +68,9 @@ RECURRENCE_LATENCY = 2
 #: traffic has deadlocked.
 _DEADLOCK_FACTOR = 64
 
-#: Replay engines: ``event`` skips cycles, ``stepped`` is the oracle,
-#: ``batched`` steps many instances in lock-step (see ``sim.batched``).
-SIM_ENGINES = ("event", "stepped", "batched")
+#: Replay engines: ``event`` skips cycles, ``stepped`` is the oracle.
+#: Many-case runs go through ``sim.batched.simulate_batch`` instead.
+SIM_ENGINES = ("event", "stepped")
 
 #: Snapshot-history size before the steady-state detector resets.
 _HISTORY_LIMIT = 4096
@@ -383,12 +383,6 @@ class _Replay:
 
     # -- main loop ------------------------------------------------------
     def replay(self, engine, memory):
-        if engine not in ("event", "stepped"):
-            # Anything else would silently replay as ``stepped``;
-            # ``batched`` must route through ``sim.batched`` instead.
-            raise ValueError(
-                f"_Replay handles only scalar engines, not {engine!r}"
-            )
         event = engine == "event"
         schedule_len = len(self.command_schedule)
         while True:
@@ -997,18 +991,12 @@ class CycleSimulator:
 
         ``memory`` is mutated to the program's final state. ``engine``
         picks the replay loop (``"event"`` skips cycles, ``"stepped"``
-        is the single-cycle oracle, ``"batched"`` runs a one-lane
-        columnar batch; all produce identical results).
+        is the single-cycle oracle; both produce identical results).
         ``telemetry`` optionally collects ``sim_*`` counters and
         ``sim/*`` phase timers. Returns a :class:`SimResult` whose
         ``cycles`` is the modeled wall-clock.
         """
         engine = _resolve_engine(engine)
-        if engine == "batched":
-            # One-lane batch through the columnar engine (import here:
-            # sim.batched imports this module).
-            from repro.sim.batched import run_single_batched
-            return run_single_batched(self, memory, telemetry)
         telemetry = telemetry or Telemetry(enabled=False)
         trace = {}
         with telemetry.timer("sim/functional"):

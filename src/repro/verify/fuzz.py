@@ -16,8 +16,9 @@ to implement the same semantics:
 1. an independent pure-Python evaluation of the spec (the reference);
 2. the IR interpreter (:func:`repro.ir.interp.execute_scope`);
 3. the ``stepped`` cycle-level engine;
-4. the ``event`` cycle-skipping engine and the ``batched`` columnar
-   engine (both must be bit-identical to 3);
+4. the ``event`` cycle-skipping engine and a one-lane
+   :func:`~repro.sim.simulate_batch` run of the columnar engine (both
+   must be bit-identical to 3);
 5. the schedule linter and the bitstream round-trip checker.
 
 Cases the scheduler cannot map on the mutated fabric are *skipped*, not
@@ -33,7 +34,6 @@ from repro.compiler.pipeline import compile_kernel
 from repro.dse.mutation import AdgMutator
 from repro.errors import (
     CompilationError,
-    DsagenError,
     DseError,
     IrError,
     SimulationError,
@@ -42,7 +42,7 @@ from repro.ir.dfg import Dfg
 from repro.ir.interp import execute_scope
 from repro.ir.region import ConfigScope, OffloadRegion
 from repro.isa.opcodes import OPCODES, evaluate
-from repro.sim.machine import simulate
+from repro.sim import simulate, simulate_batch
 from repro.utils.rng import DeterministicRng
 from repro.verify.bitstream import (
     check_bitstream_roundtrip,
@@ -99,22 +99,6 @@ class FuzzCase:
 
 
 @dataclass
-class BatchLane:
-    """Deferred batched-engine check for one case (campaign batching).
-
-    ``run_case(..., skip_batched=True)`` stashes everything the batched
-    engine needs here so :func:`run_fuzz` can simulate every surviving
-    case's lane in one :func:`repro.sim.simulate_batch` call instead of
-    one scalar run per case.
-    """
-
-    adg: object
-    compiled: object
-    expected: list
-    stepped: object
-
-
-@dataclass
 class CaseResult:
     """Outcome of running one case through the stack."""
 
@@ -122,7 +106,6 @@ class CaseResult:
     status: str = "ok"          # ok | divergent | unschedulable
     divergences: list = field(default_factory=list)
     reports: dict = field(default_factory=dict)
-    batch_lane: BatchLane = None
 
     @property
     def failed(self):
@@ -257,15 +240,9 @@ def build_kernel(case):
 # Running a case
 # ---------------------------------------------------------------------------
 
-def run_case(case, sched_iters=150, skip_batched=False):
+def run_case(case, sched_iters=150):
     """Run one case through every layer pair; returns a
-    :class:`CaseResult`.
-
-    ``skip_batched=True`` defers the batched-engine comparison: instead
-    of a one-lane scalar run the result carries a :class:`BatchLane`
-    (when the case survives every earlier check) for the campaign to
-    simulate in one grouped :func:`repro.sim.simulate_batch` call.
-    """
+    :class:`CaseResult`."""
     result = CaseResult(case=case)
     adg = build_adg(case)
     try:
@@ -310,15 +287,17 @@ def run_case(case, sched_iters=150, skip_batched=False):
             interp=list(interp_memory["out"]), expected=expected,
         )
 
-    engines = ("stepped", "event") if skip_batched \
-        else ("stepped", "event", "batched")
     engine_results = {}
-    for engine in engines:
+    for engine in ("stepped", "event", "batched"):
         memory = build_memory(case)
         try:
-            engine_results[engine] = simulate(
-                adg, compiled, memory, engine=engine
-            )
+            if engine == "batched":
+                (outcome,) = simulate_batch(adg, compiled, [memory])
+                if isinstance(outcome, SimulationError):
+                    raise outcome
+            else:
+                outcome = simulate(adg, compiled, memory, engine=engine)
+            engine_results[engine] = outcome
         except (SimulationError, IrError) as exc:
             result.record(f"sim-crash-{engine}", str(exc))
             return result
@@ -330,19 +309,14 @@ def run_case(case, sched_iters=150, skip_batched=False):
             )
 
     stepped = engine_results["stepped"]
-    for engine in engines[1:]:
+    for engine in ("event", "batched"):
         _diff_engines(result, engine, stepped, engine_results[engine])
-    if skip_batched:
-        result.batch_lane = BatchLane(
-            adg=adg, compiled=compiled, expected=expected,
-            stepped=stepped,
-        )
     return result
 
 
 def _diff_engines(result, engine, stepped, other):
     """Record any field where ``engine`` disagrees with the ``stepped``
-    oracle (shared by the scalar and campaign-batched paths)."""
+    oracle."""
     for attribute in ("cycles", "instances", "region_cycles"):
         left = getattr(stepped, attribute)
         right = getattr(other, attribute)
@@ -352,37 +326,6 @@ def _diff_engines(result, engine, stepped, other):
                 f"stepped and {engine} engines disagree on {attribute}",
                 attribute=attribute, stepped=left, **{engine: right},
             )
-
-
-def _resolve_batch_lanes(pending, telemetry=None):
-    """Run every surviving case's batched-engine lane in one
-    :func:`repro.sim.simulate_batch` call and apply the per-case
-    checks to each lane (bit-identical to the scalar path: the batched
-    engine is oracle-pinned against ``stepped``)."""
-    from repro.sim import BatchCase, simulate_batch
-
-    memories = [build_memory(result.case) for result in pending]
-    entries = simulate_batch(
-        None, None,
-        [
-            BatchCase(memory=memory, adg=result.batch_lane.adg,
-                      compiled=result.batch_lane.compiled)
-            for result, memory in zip(pending, memories)
-        ],
-        telemetry=telemetry,
-    )
-    for result, memory, entry in zip(pending, memories, entries):
-        lane = result.batch_lane
-        if isinstance(entry, SimulationError):
-            result.record("sim-crash-batched", str(entry))
-            continue
-        if list(memory["out"]) != lane.expected:
-            result.record(
-                "sim-mismatch-batched",
-                "batched engine output differs from the spec reference",
-                simulated=list(memory["out"]), expected=lane.expected,
-            )
-        _diff_engines(result, "batched", lane.stepped, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -520,37 +463,21 @@ class FuzzSummary:
 
 def run_fuzz(cases=25, seed=2026, shrink=True, out_dir=None,
              preset="softbrain", max_mutations=2, sched_iters=150,
-             progress=None, batch_sim=True, telemetry=None):
+             progress=None):
     """Run a fuzz campaign; returns a :class:`FuzzSummary`.
 
     ``out_dir`` (created on demand) receives one shrunk JSON repro per
     failing case. ``progress`` is an optional ``callable(str)`` for
-    per-case status lines. With ``batch_sim`` (the default) the
-    batched-engine comparison of every case that survives the scalar
-    checks runs as one grouped :func:`repro.sim.simulate_batch` call —
-    same verdicts as per-case runs (asserted in the test suite), one
-    lock-stepped simulation instead of N. ``telemetry`` (optional)
-    collects the batch engine's ``sim_batch_*`` counters.
+    per-case status lines.
     """
     import os
 
     summary = FuzzSummary(seed=seed, cases=cases)
-    results = []
     for index in range(cases):
         case = generate_case(
             seed, index, preset=preset, max_mutations=max_mutations
         )
-        results.append(run_case(
-            case, sched_iters=sched_iters, skip_batched=batch_sim,
-        ))
-    pending = [
-        result for result in results
-        if result.batch_lane is not None and not result.failed
-    ]
-    if pending:
-        _resolve_batch_lanes(pending, telemetry=telemetry)
-    for index, result in enumerate(results):
-        case = result.case
+        result = run_case(case, sched_iters=sched_iters)
         if result.status == "unschedulable":
             summary.skipped += 1
             if progress:

@@ -9,11 +9,28 @@ so pytest does not collect it as a test file.
 
 import copy
 
-from repro.sim import SIM_ENGINES, simulate
+from repro.errors import SimulationError
+from repro.sim import SIM_ENGINES, simulate, simulate_batch
 from repro.utils.telemetry import Telemetry
 
 #: The single-cycle engine every other engine is pinned against.
 ORACLE = "stepped"
+
+#: The scalar engines plus ``batched``: a one-lane ``simulate_batch``.
+ENGINES = (*SIM_ENGINES, "batched")
+
+
+def simulate_on(adg, compiled, memory, engine, telemetry=None):
+    """One run on ``engine``; ``batched`` raises its lane's
+    :class:`SimulationError` just as :func:`simulate` would."""
+    if engine != "batched":
+        return simulate(adg, compiled, memory, engine=engine,
+                        telemetry=telemetry)
+    (outcome,) = simulate_batch(adg, compiled, [memory],
+                                telemetry=telemetry)
+    if isinstance(outcome, SimulationError):
+        raise outcome
+    return outcome
 
 
 def sim_fields(result):
@@ -22,7 +39,7 @@ def sim_fields(result):
             result.instances, result.config_cycles)
 
 
-def run_all_engines(adg, compiled, workload, engines=SIM_ENGINES):
+def run_all_engines(adg, compiled, workload, engines=ENGINES):
     """Simulate ``compiled`` once per engine on fresh memory.
 
     Returns ``({engine: SimResult}, {engine: Telemetry})``.
@@ -34,9 +51,8 @@ def run_all_engines(adg, compiled, workload, engines=SIM_ENGINES):
         scope_copy = copy.deepcopy(compiled)
         scope_copy.scope.bind_constants(memory)
         telemetries[engine] = Telemetry()
-        results[engine] = simulate(
-            adg, scope_copy, memory,
-            engine=engine, telemetry=telemetries[engine],
+        results[engine] = simulate_on(
+            adg, scope_copy, memory, engine, telemetries[engine],
         )
     return results, telemetries
 

@@ -3,9 +3,8 @@
 The composition explorer inherits the DSE determinism contract:
 ``workers`` only changes wall-clock, never the trajectory, and a
 checkpoint/resume round-trip reproduces the uninterrupted run exactly.
-These tests pin that, plus the partition mutation algebra, the
-cross-fabric warm-start translation, and the batched finalist
-measurement path.
+These tests pin that, plus the partition mutation algebra and the
+cross-fabric warm-start translation.
 """
 
 import multiprocessing
@@ -14,14 +13,11 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.adg.merge import merge_all
-from repro.compiler.pipeline import compile_kernel
 from repro.dse import (
     CompositionExplorer,
-    FinalistCase,
     canonical_partition,
     mutate_partition,
     partition_strategy,
-    simulate_finalists,
     specialize_kernels,
 )
 from repro.errors import DseError
@@ -223,54 +219,6 @@ class TestExplorerDeterminism:
         other = _make_explorer(specialized, seed=8)
         with pytest.raises(DseError, match="seed"):
             other.run(max_iters=2, checkpoint_path=path, resume=True)
-
-
-class TestFinalistMeasurement:
-    def test_shared_fabric_batches_into_one_group(self, specialized):
-        fabrics = [specialized[name].adg for name in sorted(KERNELS)]
-        merged, maps = merge_all(fabrics)
-        node_maps = dict(zip(sorted(KERNELS), maps))
-        cases = []
-        for name in sorted(KERNELS):
-            spec = specialized[name]
-            warm, _ = translate_warm_schedules(
-                {name: spec.schedules}, merged, node_maps[name]
-            )
-            compiled = compile_kernel(
-                spec.kernel, merged,
-                rng=DeterministicRng(("finalist", name)),
-                max_iters=40, initial_schedules=warm.get(name),
-            )
-            assert compiled.ok
-            cases.append(FinalistCase(
-                label=name, adg=merged, compiled=compiled,
-                kernel=spec.kernel,
-            ))
-        measurement = simulate_finalists(cases, assert_parity=True)
-        assert measurement.groups == 1
-        assert measurement.lanes == len(KERNELS)
-        assert not measurement.errors
-        cycles = measurement.cycles()
-        assert set(cycles) == set(KERNELS)
-        assert all(value > 0 for value in cycles.values())
-
-    def test_distinct_fabrics_stay_in_distinct_groups(self, specialized):
-        cases = []
-        for name in sorted(KERNELS):
-            spec = specialized[name]
-            compiled = compile_kernel(
-                spec.kernel, spec.adg,
-                rng=DeterministicRng(("own", name)),
-                max_iters=20, initial_schedules=spec.schedules,
-            )
-            assert compiled.ok
-            cases.append(FinalistCase(
-                label=name, adg=spec.adg, compiled=compiled,
-                kernel=spec.kernel,
-            ))
-        measurement = simulate_finalists(cases)
-        assert measurement.groups == len(KERNELS)
-        assert measurement.lanes == len(KERNELS)
 
 
 class TestComposeJobPlumbing:

@@ -68,7 +68,9 @@ class TestParser:
         function = functions[0]
         assert function.name == "row_scale"
         assert [p.name for p in function.params] == ["a", "b", "c", "n"]
-        assert function.array_params() == ["a", "b", "c"]
+        assert [p.name for p in function.params if p.is_pointer] == [
+            "a", "b", "c",
+        ]
         block = function.body.statements[0]
         assert block.config
         inner_block = block.statements[0]

@@ -21,7 +21,7 @@ class TestLinearStream:
         stream = LinearStream("a", length=5)
         assert list(stream.addresses()) == [0, 1, 2, 3, 4]
         assert stream.volume() == 5
-        assert not stream.is_2d and not stream.is_inductive
+        assert stream.outer_length == 1 and stream.length_stretch == 0
 
     def test_strided(self):
         stream = LinearStream("a", offset=3, stride=2, length=4)
@@ -32,7 +32,7 @@ class TestLinearStream:
             "a", length=3, outer_length=2, outer_stride=10
         )
         assert list(stream.addresses()) == [0, 1, 2, 10, 11, 12]
-        assert stream.is_2d
+        assert stream.volume() == 6
 
     def test_inductive_triangular(self):
         stream = LinearStream(
@@ -40,7 +40,6 @@ class TestLinearStream:
         )
         assert list(stream.addresses()) == [0, 1, 2, 4, 5, 8]
         assert stream.volume() == 6
-        assert stream.is_inductive
 
     def test_inductive_growing(self):
         stream = LinearStream(

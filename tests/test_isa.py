@@ -15,7 +15,7 @@ from repro.isa import (
     opcodes_in_category,
     select_functional_units,
 )
-from repro.isa.fu import categories_of, is_control_only
+from repro.isa.fu import categories_of
 from repro.isa.opcodes import evaluate
 
 
@@ -167,6 +167,8 @@ class TestFunctionalUnits:
         assert cats == {OpCategory.ARITH, OpCategory.FP_MULTIPLY}
 
     def test_is_control_only(self):
-        assert is_control_only({"select", "copy"})
-        assert not is_control_only({"select", "add"})
-        assert not is_control_only(set())
+        assert categories_of({"select", "copy"}) == {OpCategory.CONTROL}
+        assert categories_of({"select", "add"}) == {
+            OpCategory.CONTROL, OpCategory.ARITH,
+        }
+        assert categories_of(set()) == set()

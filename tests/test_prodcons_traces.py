@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.compiler.transforms.prodcons import (
-    forward_value,
-    serialize_through_memory,
-)
+from repro.compiler.transforms.prodcons import forward_value
 from repro.ir import (
     ConfigScope,
     Dfg,
@@ -63,7 +60,9 @@ def producer_consumer_scope(n=8, forwarded=True):
         )
         scope.forwards.append(("prod", "s_out", "cons", "s"))
     else:
-        serialize_through_memory(scope, "prod")
+        # The fallback: a memory fence after the producer, so the
+        # consumer reads the value back from memory.
+        scope.barriers.append("prod")
     return scope
 
 

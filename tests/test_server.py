@@ -46,11 +46,11 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def _fresh_memo():
     """Every test starts with a cold, default-bounded, store-less memo."""
     compile_cache.clear()
-    compile_cache.detach_store()
+    compile_cache.attach_store(None)
     compile_cache.configure(compile_cache.DEFAULT_MAX_ENTRIES)
     yield
     compile_cache.clear()
-    compile_cache.detach_store()
+    compile_cache.attach_store(None)
     compile_cache.configure(compile_cache.DEFAULT_MAX_ENTRIES)
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -86,9 +87,9 @@ class TestTimingBehaviour:
             workload, spu, rng=DeterministicRng(0), max_iters=100
         )
         assert fast.params.use_atomic
-        slow_kernel = workload.with_space(
-            has_atomic=False, has_indirect=False
-        )
+        slow_kernel = replace(workload, space=replace(
+            workload.space, has_atomic=False, has_indirect=False
+        ))
         slow = compile_kernel(
             slow_kernel, spu, rng=DeterministicRng(0), max_iters=100
         )
@@ -107,7 +108,8 @@ class TestTimingBehaviour:
         )
         assert fast.params.use_join
         slow = compile_kernel(
-            workload.with_space(has_join=False), spu,
+            replace(workload, space=replace(workload.space,
+                                            has_join=False)), spu,
             rng=DeterministicRng(0), max_iters=100,
         )
         memory_fast = workload.make_memory()

@@ -1,8 +1,9 @@
 """Replay-engine equivalence: the event-driven cycle-skipping engine
-must produce bit-identical :class:`SimResult` fields to the stepped
-oracle — on every registry workload, on randomized (workload, ADG)
-combinations, and on the edge cases where bulk firing must fall back to
-stepping (barrier releases, depth-1 FIFO boundaries, deadlock).
+and a one-lane run of the batched columnar engine must produce
+bit-identical :class:`SimResult` fields to the stepped oracle — on every
+registry workload, on randomized (workload, ADG) combinations, and on
+the edge cases where bulk firing must fall back to stepping (barrier
+releases, depth-1 FIFO boundaries, deadlock).
 """
 
 import copy
@@ -17,11 +18,16 @@ from repro.adg import topologies
 from repro.compiler import compile_kernel
 from repro.errors import SimulationError
 from repro.harness.compile_cache import cached_compile
-from repro.sim import SIM_ENGINES, simulate
+from repro.sim import simulate
 from repro.utils.rng import DeterministicRng
 from repro.workloads import kernel as make_kernel
 from repro.workloads.registry import workload_names
-from tests.engine_parity import assert_engine_parity, run_all_engines
+from tests.engine_parity import (
+    ENGINES,
+    assert_engine_parity,
+    run_all_engines,
+    simulate_on,
+)
 
 #: Workloads that need the SPU's indirect/join hardware to compile on
 #: their natural form.
@@ -65,12 +71,17 @@ class TestRegistryParity:
 
         # Step accounting: every modeled cycle is either executed or
         # skipped, and the oracle never skips.
-        for engine in SIM_ENGINES:
+        for engine in ("event", "stepped"):
             counters = telemetries[engine].counters
             assert (counters["sim_steps_executed"]
                     + counters["sim_cycles_skipped"]
                     == results[engine].cycles)
         assert telemetries["stepped"].counters["sim_cycles_skipped"] == 0
+        counters = telemetries["batched"].counters
+        assert (counters["sim_batch_steps"]
+                + counters["sim_batch_idle_cycles_skipped"]
+                + counters["sim_batch_bulk_cycles_skipped"]
+                == results["batched"].cycles)
 
 
 class TestRandomizedParity:
@@ -95,13 +106,13 @@ class TestRandomizedParity:
             return  # some stressed shapes legitimately reject
         workload = make_kernel(name, scale)
         outcomes = {}
-        for engine in SIM_ENGINES:
+        for engine in ENGINES:
             memory = workload.make_memory()
             scope_copy = copy.deepcopy(compiled)
             scope_copy.scope.bind_constants(memory)
             try:
-                outcomes[engine] = simulate(
-                    adg, scope_copy, memory, engine=engine,
+                outcomes[engine] = simulate_on(
+                    adg, scope_copy, memory, engine,
                 )
             except SimulationError as exc:
                 # Some stressed shapes genuinely deadlock the machine
@@ -115,13 +126,13 @@ class TestRandomizedParity:
         adg, compiled = _compiled("mm", "softbrain")
         workload = make_kernel("mm", 0.05)
         memories = {}
-        for engine in SIM_ENGINES:
+        for engine in ENGINES:
             memory = workload.make_memory()
             scope_copy = copy.deepcopy(compiled)
             scope_copy.scope.bind_constants(memory)
-            simulate(adg, scope_copy, memory, engine=engine)
+            simulate_on(adg, scope_copy, memory, engine)
             memories[engine] = memory
-        for engine in SIM_ENGINES:
+        for engine in ENGINES:
             for array in memories[engine]:
                 assert all(
                     math.isclose(float(a), float(b),
@@ -158,17 +169,17 @@ class TestFallbackEdgeCases:
 
     def test_deadlock_diagnostics_identical(self, monkeypatch):
         """An impossible deadline trips the deadlock error at the same
-        cycle in both engines, with the same per-region stall report."""
+        cycle in every engine, with the same per-region stall report."""
         adg, compiled = _compiled("mm", "softbrain")
         workload = make_kernel("mm", 0.05)
         monkeypatch.setattr(machine, "_DEADLOCK_FACTOR", 0)
         messages = {}
-        for engine in SIM_ENGINES:
+        for engine in ENGINES:
             memory = workload.make_memory()
             scope_copy = copy.deepcopy(compiled)
             scope_copy.scope.bind_constants(memory)
             with pytest.raises(SimulationError) as excinfo:
-                simulate(adg, scope_copy, memory, engine=engine)
+                simulate_on(adg, scope_copy, memory, engine)
             messages[engine] = str(excinfo.value)
         assert_engine_parity(messages)
         report = messages["event"]
@@ -189,6 +200,14 @@ class TestEngineSelection:
         compiled.scope.bind_constants(memory)
         with pytest.raises(ValueError, match="unknown sim engine"):
             simulate(adg, compiled, memory, engine="warp-speed")
+
+    def test_batched_is_not_a_simulate_engine(self):
+        """The columnar engine runs only through ``simulate_batch``."""
+        adg, compiled = _compiled("pool", "softbrain")
+        memory = make_kernel("pool", 0.05).make_memory()
+        compiled.scope.bind_constants(memory)
+        with pytest.raises(ValueError, match="unknown sim engine"):
+            simulate(adg, compiled, memory, engine="batched")
 
     def test_event_engine_skips_cycles(self):
         """The point of the rewrite: on a long steady-state workload the
