@@ -17,7 +17,7 @@ coalesces their requests). We reproduce each mechanism:
 from repro.compiler.codegen import CommandKind, generate_control_program
 from repro.compiler.kernel import VariantParams
 from repro.compiler.pipeline import CompiledKernel
-from repro.errors import CompilationError
+from repro.errors import CompilationError, SchedulingError
 from repro.estimation.perf_model import PerformanceModel
 from repro.scheduler.stochastic import SpatialScheduler
 from repro.scheduler.timing import compute_timing
@@ -145,7 +145,11 @@ def manual_compile(kernel_name, adg, accel_name=None, scale=1.0,
                 adg, rng=DeterministicRng(("manual", kernel_name, seed)),
                 max_iters=sched_iters,
             )
-            schedule, cost = scheduler.schedule(scope)
+            try:
+                schedule, cost = scheduler.schedule(scope)
+            except SchedulingError as exc:
+                last_error = exc  # this seed found no legal mapping
+                continue
             if cost.is_legal and (best is None or cost.scalar() <
                                   best[1].scalar()):
                 best = (schedule, cost, scheduler)

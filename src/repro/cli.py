@@ -56,9 +56,17 @@ def _target_adg(name):
         )
 
 
+def _print_rejected(result):
+    for params, reason in result.rejected:
+        print(f"  {params.describe()}: {reason[:100]}")
+
+
 def _run_compiled(adg, workload, result, do_simulate):
     print(f"variant: {result.params.describe()}  "
           f"estimated cycles: {result.perf.cycles:.0f}")
+    if result.rejected:
+        print("rejected variants:")
+        _print_rejected(result)
     print(f"schedule: {result.schedule.summary()}")
     if not do_simulate:
         return
@@ -103,8 +111,7 @@ def cmd_run(args):
     )
     if not result.ok:
         print("no legal mapping; rejected variants:")
-        for params, reason in result.rejected:
-            print(f"  {params.describe()}: {reason[:100]}")
+        _print_rejected(result)
         return 1
     _run_compiled(adg, workload, result, not args.no_simulate)
     return 0
@@ -128,7 +135,8 @@ def cmd_compile(args):
         rng=DeterministicRng(args.seed), max_iters=args.sched_iters,
     )
     if not result.ok:
-        print("no legal mapping")
+        print("no legal mapping; rejected variants:")
+        _print_rejected(result)
         return 1
     print(describe_scope(result.scope))
     _run_compiled(adg, workload, result, not args.no_simulate)

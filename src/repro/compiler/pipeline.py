@@ -13,7 +13,11 @@ program.
 from dataclasses import dataclass, field
 
 from repro.compiler.codegen import generate_control_program
-from repro.errors import CompilationError, VerificationError
+from repro.errors import (
+    CompilationError,
+    UnmappableError,
+    VerificationError,
+)
 from repro.estimation.perf_model import PerformanceModel
 from repro.scheduler.stochastic import SpatialScheduler
 from repro.scheduler.timing import compute_timing
@@ -61,7 +65,11 @@ def compile_kernel(
     ----------
     max_scheduled_variants:
         Spatial scheduling is the expensive step; only the this-many best
-        variants by pre-schedule estimate are actually scheduled.
+        variants by pre-schedule estimate are actually scheduled. A
+        variant the scheduler proves unmappable (:class:`UnmappableError`)
+        counts toward them, goes into ``rejected`` with the proof as its
+        reason and skips its remaining attempts; it adds 0 to
+        ``sched_effort``.
     initial_schedules:
         Optional ``{VariantParams: Schedule}`` warm starts — the DSE
         repair path passes the previous iteration's schedules here.
@@ -122,6 +130,11 @@ def compile_kernel(
                     scope, initial=initial if attempt == 0 else None
                 )
                 effort += getattr(scheduler, "last_iterations", 0)
+            except UnmappableError as exc:
+                # A proof, made before any random draw: no retry seed
+                # can change it.
+                failure = str(exc)
+                break
             except CompilationError as exc:
                 failure = str(exc)
                 continue

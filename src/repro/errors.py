@@ -62,6 +62,11 @@ class SchedulingError(CompilationError):
     """The spatial scheduler failed to find a legal mapping."""
 
 
+class UnmappableError(SchedulingError):
+    """The scheduler proved, before its first random draw, that no legal
+    mapping of the scope exists, so no seed can change the outcome."""
+
+
 class EstimationError(DsagenError):
     """Performance or power/area estimation failed."""
 

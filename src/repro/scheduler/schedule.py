@@ -261,6 +261,50 @@ def _stream_slots(adg, memory_name):
     return memory.num_stream_slots if isinstance(memory, Memory) else 1
 
 
+def _max_assignment(demands, capacity):
+    """The size of a maximum assignment of ``demands`` — one list of
+    candidate targets per unit demand — to targets that each take
+    ``capacity(target)`` demands.
+
+    Each demand in turn searches breadth-first for an augmenting path: a
+    chain of assigned demands moving one target along that ends at a
+    target with a free slot. A demand that finds none stays unassigned:
+    an unmatched vertex without an augmenting path never gains one as
+    the matching grows, so the result is maximum.
+    """
+    holders = {}   # target -> indices of the demands assigned to it
+    assigned = 0
+    for index, targets in enumerate(demands):
+        # target -> (target its mover leaves, or None, and that mover)
+        came_from = {}
+        frontier = []
+        for target in targets:
+            if target not in came_from:
+                came_from[target] = (None, index)
+                frontier.append(target)
+        end = None
+        for target in frontier:  # grows while it is walked
+            held = holders.get(target, ())
+            if len(held) < capacity(target):
+                end = target
+                break
+            for mover in held:
+                for onward in demands[mover]:
+                    if onward not in came_from:
+                        came_from[onward] = (target, mover)
+                        frontier.append(onward)
+        if end is None:
+            continue
+        assigned += 1
+        while end is not None:
+            left, mover = came_from[end]
+            holders.setdefault(end, []).append(mover)
+            if left is not None:
+                holders[left].remove(mover)
+            end = left
+    return assigned
+
+
 def _issue_cost(op_name):
     """Per-instance issue cost of one instruction on its PE: pipelined
     opcodes sustain one issue per cycle, unpipelined ones block."""
@@ -988,6 +1032,31 @@ class Schedule:
                 if self.placement_legal(vertex, hw.name)
             )
         return list(names)
+
+    def capacity_deficit(self):
+        """Why no legal mapping of the scope can exist, or None.
+
+        Two maximum matchings: instruction vertices to PE instruction
+        slots (:meth:`candidates_for` targets, :meth:`_capacity` slots
+        each), and port vertices to sync elements (one slot each: every
+        port beyond one per sync element counts as port overuse). A
+        legal mapping places every vertex on a candidate with no PE or
+        port overuse, so it would be a full matching of both; a
+        deficient one, e.g. ``"20 of 32 instructions, 8 of 8 ports
+        matched"``, proves there is none.
+        """
+        instrs, ports = [], []
+        for vertex in self.vertices():
+            if self.node_of(vertex).kind is NodeKind.INSTR:
+                instrs.append(self.candidates_for(vertex))
+            else:
+                ports.append(self.candidates_for(vertex))
+        placed_instrs = _max_assignment(instrs, self._capacity)
+        placed_ports = _max_assignment(ports, lambda name: 1)
+        if placed_instrs == len(instrs) and placed_ports == len(ports):
+            return None
+        return (f"{placed_instrs} of {len(instrs)} instructions, "
+                f"{placed_ports} of {len(ports)} ports matched")
 
     def summary(self):
         return {

@@ -14,7 +14,7 @@ schedule as the starting point resumes the same loop.
 """
 
 from repro.adg.components import ProcessingElement
-from repro.errors import SchedulingError
+from repro.errors import UnmappableError
 from repro.ir.dfg import NodeKind
 from repro.ir.region import as_stream_list
 from repro.ir.stream import (
@@ -117,8 +117,11 @@ class SpatialScheduler:
         """Map ``scope`` onto the ADG.
 
         Returns ``(schedule, cost)`` with the best mapping found; the cost
-        may be illegal when the hardware simply cannot host the scope —
-        callers check ``cost.is_legal``.
+        may be illegal when the search found no legal mapping — callers
+        check ``cost.is_legal``. Raises :class:`UnmappableError`, before
+        any random draw, when a stream has no capable memory or when a
+        cold start (no ``initial``) has no capacity assignment at all
+        (:meth:`Schedule.capacity_deficit`).
         """
         telemetry = self.telemetry
         rebuilds_before = SCHEDULE_STATS["load_rebuilds"]
@@ -129,6 +132,8 @@ class SpatialScheduler:
             sched.rebind(self.adg)
         self._region_rates = self._compute_region_rates(scope)
         self._bind_streams(sched)
+        if initial is None:
+            self._refute(sched)
         with telemetry.timer("sched/greedy_place"):
             self._greedy_place(sched)
         with telemetry.timer("sched/route_all"):
@@ -179,6 +184,18 @@ class SpatialScheduler:
             telemetry.incr("sched_route_fast_hits", fast_hits)
         return best, best_cost
 
+    def _refute(self, sched):
+        """Raise :class:`UnmappableError` when no capacity assignment
+        of ``sched``'s scope exists. A cold search places vertices only
+        on :meth:`Schedule.candidates_for` targets (port candidates are
+        a subset of them and swaps check ``placement_legal``), so such a
+        scope ends with unplaced vertices or PE or port overuse."""
+        with self.telemetry.timer("sched/refute"):
+            deficit = sched.capacity_deficit()
+        if deficit is not None:
+            self.telemetry.incr("sched_unmappable")
+            raise UnmappableError(f"unmappable: {deficit}")
+
     # ------------------------------------------------------------------
     # Stream binding (responsibility 1 for streams)
     # ------------------------------------------------------------------
@@ -206,7 +223,7 @@ class SpatialScheduler:
                         spad, dma,
                     )
                     if memory is None:
-                        raise SchedulingError(
+                        raise UnmappableError(
                             "no memory can execute stream on "
                             f"{region.name}:{port} (array {stream.array!r})"
                         )

@@ -106,36 +106,44 @@ def resolve_adg(spec):
     return _preset_factory(spec.preset)()
 
 
-#: Per-process fingerprints of preset fabrics, keyed by the factory
-#: object rather than the preset name, so a replaced ``PRESETS`` entry
-#: never reuses the fingerprint of the fabric it replaced.
+#: Per-process encoded fingerprints of preset fabrics, keyed by the
+#: factory object rather than the preset name, so a replaced ``PRESETS``
+#: entry never reuses the fingerprint of the fabric it replaced.
 _preset_fingerprints = {}
 
 
-def _adg_fingerprint(spec):
+def _encoded_fingerprint(spec):
+    """``canonical_dumps`` of the spec's fabric fingerprint: encoded once
+    per process for a preset, on every call for an inline ``adg``."""
     from repro.harness.compile_cache import adg_fingerprint
 
     if spec.adg is not None:
-        return adg_fingerprint(resolve_adg(spec))
+        return canonical_dumps(adg_fingerprint(resolve_adg(spec)))
     factory = _preset_factory(spec.preset)
-    fingerprint = _preset_fingerprints.get(factory)
-    if fingerprint is None:
-        fingerprint = adg_fingerprint(factory())
-        _preset_fingerprints[factory] = fingerprint
-    return fingerprint
+    encoded = _preset_fingerprints.get(factory)
+    if encoded is None:
+        encoded = canonical_dumps(adg_fingerprint(factory()))
+        _preset_fingerprints[factory] = encoded
+    return encoded
 
 
 def job_key(spec):
     """The canonical store key of a cacheable job: every field the
-    artifact depends on, none of the scheduling metadata. A preset's
-    fabric is fingerprinted once per process; an inline ``adg`` on
-    every call."""
-    return canonical_dumps([
-        "job", JOB_KEY_VERSION, spec.kind, _adg_fingerprint(spec),
-        spec.workload, spec.scale, spec.seed, spec.sched_iters,
-        spec.attempts, spec.sim_engine,
-        {k: spec.options[k] for k in sorted(spec.options)},
-    ])
+    artifact depends on, none of the scheduling metadata — the
+    ``canonical_dumps`` of the list ``["job", version, kind, fabric
+    fingerprint, workload, scale, seed, sched_iters, attempts,
+    sim_engine, options]``. It is spliced from encoded items, so a
+    preset's ~50 KB fingerprint is not escaped again per request."""
+    items = [
+        *map(canonical_dumps, ("job", JOB_KEY_VERSION, spec.kind)),
+        _encoded_fingerprint(spec),
+        *map(canonical_dumps, (
+            spec.workload, spec.scale, spec.seed, spec.sched_iters,
+            spec.attempts, spec.sim_engine,
+            {k: spec.options[k] for k in sorted(spec.options)},
+        )),
+    ]
+    return '["l",[' + ",".join(items) + "]]"
 
 
 def compile_subkey(spec):

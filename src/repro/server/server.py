@@ -68,7 +68,6 @@ import itertools
 import json
 import os
 import pickle
-import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.adg import topologies
 from repro.adg.serialize import adg_to_dict
+from repro.harness.compile_cache import adg_fingerprint
 from repro.server import jobs
 from repro.server.jobs import JobSpec, job_key
 from repro.utils.fingerprint import canonical_dumps
@@ -219,6 +220,23 @@ class TestJobKeys:
         ))
         monkeypatch.setitem(topologies.PRESETS, "softbrain", factory)
         assert job_key(spec) == original
+
+    def test_swapped_preset_never_reuses_the_encoded_fragment(
+            self, monkeypatch):
+        spec = JobSpec(kind="compile", preset="softbrain")
+        factory = topologies.PRESETS["softbrain"]
+        job_key(spec)
+        old_fragment = jobs._preset_fingerprints[factory]
+
+        def smaller():
+            return topologies.softbrain(rows=3, cols=4)
+
+        monkeypatch.setitem(topologies.PRESETS, "softbrain", smaller)
+        swapped = job_key(spec)
+        fragment = jobs._preset_fingerprints[smaller]
+        assert fragment != old_fragment
+        assert fragment == canonical_dumps(adg_fingerprint(smaller()))
+        assert fragment in swapped and old_fragment not in swapped
 
     def test_preset_fingerprinted_once(self, monkeypatch):
         calls = []

@@ -6,12 +6,10 @@ import pytest
 
 from repro.adg import topologies
 from repro.compiler import (
-    CompiledKernel,
     Kernel,
     VariantParams,
     VariantSpace,
     compile_kernel,
-    generate_control_program,
 )
 from repro.compiler.codegen import CommandKind
 from repro.compiler.transforms.inplace import (

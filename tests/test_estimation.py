@@ -9,7 +9,6 @@ from repro.adg.components import ProcessingElement, Resourcing, Scheduling
 from repro.compiler import compile_kernel
 from repro.compiler.kernel import VariantParams
 from repro.estimation import (
-    AreaPowerModel,
     default_model,
     estimate_area_power,
     generate_dataset,

@@ -8,7 +8,6 @@ from repro.ir import (
     Dfg,
     LinearStream,
     OffloadRegion,
-    execute_region,
     execute_scope,
 )
 from repro.ir.stream import RecurrenceStream, StreamDirection

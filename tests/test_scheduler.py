@@ -15,6 +15,7 @@ from repro.adg.components import (
     Switch,
     SyncElement,
 )
+from repro.errors import UnmappableError
 from repro.ir import ConfigScope, Dfg, LinearStream, OffloadRegion
 from repro.ir.dfg import NodeKind
 from repro.ir.stream import StreamDirection
@@ -491,7 +492,15 @@ class TestStochasticScheduler:
         adg.connect("sw0", "out0")
         adg.connect("out0", "dma0")
         scheduler = SpatialScheduler(adg, max_iters=30)
-        sched, cost = scheduler.schedule(dot_scope())
+        # No PE can host the integer instructions: the cold start proves
+        # it before searching.
+        scope = dot_scope()
+        with pytest.raises(UnmappableError,
+                           match="unmappable: 0 of 4 instructions"):
+            scheduler.schedule(scope)
+        # A warm start is searched all the same and ends illegal.
+        sched, cost = scheduler.schedule(
+            scope, initial=Schedule(scope, adg))
         assert not cost.is_legal
         assert cost.unplaced > 0
 

@@ -6,7 +6,6 @@ from repro.adg.components import (
     Direction,
     Memory,
     ProcessingElement,
-    Resourcing,
     Scheduling,
     Switch,
     SyncElement,
