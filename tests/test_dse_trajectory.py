@@ -38,7 +38,7 @@ COMPOSE_KERNELS = ("mm", "pool", "md")
 FUNNEL_COUNTERS = ("candidates_", "fidelity_", "compose_", "surrogate_")
 
 EXPECTED_DIGEST = (
-    "526cea6d5b814490ddbd8667208c3a4e2c944aa72c0d4ce4e5834a5918c304a6"
+    "127439b614d6287cebb77f408b38c05adfa441f8860fda3a06ad7b0494162e2c"
 )
 
 

@@ -34,7 +34,7 @@ SCALE = 0.05
 MAX_ITERS = 20
 
 EXPECTED_DIGEST = (
-    "e5f4eaee636ae788b9d535542417791f147158b9c3b6b514d6e28b41756a408e"
+    "8b62262623de364a76c12c77bf77f8a8647bc6e02dd6694c8b29f7fe110dd6b2"
 )
 
 
