@@ -1042,7 +1042,7 @@ class Schedule:
         port beyond one per sync element counts as port overuse). A
         legal mapping places every vertex on a candidate with no PE or
         port overuse, so it would be a full matching of both; a
-        deficient one, e.g. ``"20 of 32 instructions, 8 of 8 ports
+        deficient one, e.g. ``"20 of 32 instructions, 0 of 8 ports
         matched"``, proves there is none.
         """
         instrs, ports = [], []

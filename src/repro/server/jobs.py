@@ -133,17 +133,17 @@ def job_key(spec):
     ``canonical_dumps`` of the list ``["job", version, kind, fabric
     fingerprint, workload, scale, seed, sched_iters, attempts,
     sim_engine, options]``. It is spliced from encoded items, so a
-    preset's ~50 KB fingerprint is not escaped again per request."""
-    items = [
-        *map(canonical_dumps, ("job", JOB_KEY_VERSION, spec.kind)),
-        _encoded_fingerprint(spec),
-        *map(canonical_dumps, (
-            spec.workload, spec.scale, spec.seed, spec.sched_iters,
-            spec.attempts, spec.sim_engine,
-            {k: spec.options[k] for k in sorted(spec.options)},
-        )),
-    ]
-    return '["l",[' + ",".join(items) + "]]"
+    preset's ~50 KB fingerprint is not escaped again per request, and
+    in one join, so the key is the only large string built."""
+    head = ",".join(map(canonical_dumps, ("job", JOB_KEY_VERSION,
+                                          spec.kind)))
+    tail = ",".join(map(canonical_dumps, (
+        spec.workload, spec.scale, spec.seed, spec.sched_iters,
+        spec.attempts, spec.sim_engine,
+        {k: spec.options[k] for k in sorted(spec.options)},
+    )))
+    return "".join(('["l",[', head, ",", _encoded_fingerprint(spec), ",",
+                    tail, "]]"))
 
 
 def compile_subkey(spec):

@@ -7,8 +7,8 @@ matching means every mapping leaves a vertex unplaced or a PE or sync
 element overused. These tests pin the matching against brute force, pin
 soundness against the search itself (with the check patched off, no
 refuted variant ever maps), and pin what a refutation does to the
-random stream, to warm starts, to ``compile_kernel`` and to the manual
-baselines.
+random stream, to warm starts, to ``compile_kernel``, to the manual
+baselines and to the CLI's rejection report.
 """
 
 import pytest
@@ -85,14 +85,6 @@ def test_matching_equals_brute_force(instance):
     demands, capacity = instance
     assert _max_assignment(demands, capacity.__getitem__) == \
         _brute_force(demands, capacity)
-
-
-def test_matching_needs_an_augmenting_chain():
-    # Greedy first-fit puts demand 0 on the only slot demand 1 can use;
-    # a maximum matching moves it along.
-    demands = [["a", "b"], ["a"], ["b", "c"], ["c"]]
-    capacity = {"a": 1, "b": 1, "c": 1}
-    assert _max_assignment(demands, capacity.__getitem__) == 3
 
 
 def test_deficit_names_both_matchings():
@@ -191,9 +183,11 @@ def test_manual_baseline_falls_back_past_a_refuted_variant(monkeypatch):
     assert result.params.unroll < 8
 
 
-def test_manual_baselines_still_build():
-    adg = topologies.softbrain()
-    for kernel_name in ("mm", "pb_2mm"):
-        result = manual.manual_compile(kernel_name, adg, scale=SCALE,
-                                       sched_iters=MAX_ITERS)
-        assert result.ok, kernel_name
+def test_cli_prints_the_deficit(capsys):
+    from repro.cli import main
+
+    code = main(["run", "pb_2mm", "--scale", str(SCALE),
+                 "--sched-iters", str(MAX_ITERS), "--no-simulate"])
+    assert code == 0
+    assert f"  V8: unmappable: {PB_2MM_V8_DEFICIT}\n" in \
+        capsys.readouterr().out
