@@ -58,7 +58,7 @@ def _target_adg(name):
 
 def _print_rejected(result):
     for params, reason in result.rejected:
-        print(f"  {params.describe()}: {reason[:100]}")
+        print(f"  {params.describe()}: {reason}")
 
 
 def _run_compiled(adg, workload, result, do_simulate):

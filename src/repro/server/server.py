@@ -20,10 +20,15 @@ Scheduling:
 
 * **Cache fast path** — admissions look the job key up in the store
   first; a hit completes the job immediately, never touching the
-  queue, so warm requests cost one socket round-trip plus one store
-  read. A key's artifact never changes, so recent hits on one key
-  share a single base64 pickle and digest of it: a hit neither
-  re-encodes the artifact nor holds a copy of its own.
+  queue. A key's artifact never changes, so the server keeps, for its
+  recently hit keys, the envelope's status and summary and one base64
+  pickle and digest of the artifact. A hit on such a key is answered
+  from memory once the store index confirms the entry is still there
+  (``ArtifactStore.touch``: the same hit and LRU bookkeeping as a read,
+  no file read); the first hit on a key, a key the store has evicted,
+  and journal recovery read and verify the object with
+  ``ArtifactStore.get``. A hit neither re-encodes the artifact nor
+  holds a copy of its own, and a finished job keeps no canonical key.
 * **Coalescing** — a submit whose key is already queued/running
   attaches to the in-flight job instead of duplicating the work.
 * **Idempotent retries (nonces)** — a ``submit``/``run`` may carry a
@@ -88,7 +93,7 @@ __all__ = ["CompileServer", "BackgroundServer", "serve"]
 _PROTOCOL_VERSION = 1
 #: Completed jobs kept around for late ``wait``/``result`` queries.
 _COMPLETED_RETENTION = 1024
-#: Keys whose encoded artifact (base64 pickle, digest) hits share.
+#: Keys whose hit (status, summary, encoded artifact) is kept in memory.
 _HIT_ENCODING_RETENTION = 64
 #: Client nonces remembered for idempotent-retry attachment.
 _NONCE_RETENTION = 4096
@@ -111,7 +116,7 @@ class _Job:
     def __init__(self, job_id, spec, key, future):
         self.job_id = job_id
         self.spec = spec
-        self.key = key          # None for uncacheable kinds
+        self.key = key          # None for uncacheable kinds and once done
         self.state = "queued"   # queued | running | done | failed | shed
         self.future = future    # resolves to the completion record
         self.cached = False
@@ -163,7 +168,9 @@ class CompileServer:
         self._inflight = {}        # key -> _Job, for coalescing
         self._tenant_load = {}     # tenant -> queued+running count
         self._nonces = OrderedDict()      # nonce -> job_id (bounded)
-        self._hit_encodings = OrderedDict()  # key -> (b64, digest)
+        # key -> (store digest, _finish kwargs: status, summary and
+        # the encoding (b64, artifact digest))
+        self._hit_encodings = OrderedDict()
         self._queued = 0           # jobs waiting in shard queues
         self._service_ewma = None  # observed seconds per computed job
         self._shard_queues = []    # per shard: heap of (pri, seq, job)
@@ -269,18 +276,14 @@ class CompileServer:
                        self._loop.create_future())
             job.journaled = True
             job.nonce = record.get("nonce")
-            if key is not None:
-                envelope = self.store.get(key)
-                if envelope is not self.store.MISS:
-                    # The artifact was published before the crash cut
-                    # off the finished record: complete instantly.
-                    job.cached = True
-                    self._incr("journal_recovered_cached")
-                    self._finish(job, envelope["status"],
-                                 artifact=envelope["artifact"],
-                                 summary=envelope["summary"],
-                                 seconds=0.0)
-                    continue
+            hit = self._store_hit(key) if key is not None else None
+            if hit is not None:
+                # The artifact was published before the crash cut off
+                # the finished record: complete instantly.
+                job.cached = True
+                self._incr("journal_recovered_cached")
+                self._finish(job, **hit)
+                continue
             self._enqueue(job)
             self._incr("journal_recovered_jobs")
 
@@ -309,15 +312,13 @@ class CompileServer:
             if inflight is not None:
                 self._incr("server_coalesced")
                 return inflight
-            envelope = self.store.get(key)
-            if envelope is not self.store.MISS:
+            hit = self._store_hit(key)
+            if hit is not None:
                 self._incr("server_cache_hits")
                 job = _Job(f"job-{next(self._job_ids)}", spec, key,
                            self._loop.create_future())
                 job.cached = True
-                self._finish(job, envelope["status"],
-                             artifact=envelope["artifact"],
-                             summary=envelope["summary"], seconds=0.0)
+                self._finish(job, **hit)
                 return job
             self._incr("server_cache_misses")
         load = self._tenant_load.get(spec.tenant, 0)
@@ -355,14 +356,32 @@ class CompileServer:
         self._incr("server_enqueued")
         return job
 
-    def _hit_encoding(self, key, artifact):
-        encoded = self._hit_encodings.pop(key, None)
-        if encoded is None:
-            encoded = _encode_artifact(artifact)
-        self._hit_encodings[key] = encoded
+    def _store_hit(self, key):
+        """The stored envelope for ``key`` as ``_finish`` keywords
+        (status, summary, encoding), or None on a miss. A key held in
+        ``_hit_encodings`` whose index entry is still there is answered
+        from memory; any other key goes through ``store.get``."""
+        held = self._hit_encodings.pop(key, None)
+        if held is None or not self.store.touch(held[0]):
+            envelope = self.store.get(key)
+            if envelope is self.store.MISS:
+                return None
+            artifact = envelope["artifact"]
+            held = (self.store.key_digest(key), {
+                "status": envelope["status"],
+                "summary": envelope["summary"],
+                "encoding": None if artifact is None
+                else _encode_artifact(artifact),
+            })
+        self._hit_encodings[key] = held
         while len(self._hit_encodings) > _HIT_ENCODING_RETENTION:
             self._hit_encodings.popitem(last=False)
-        return encoded
+        return held[1]
+
+    def _publish(self, key, envelope):
+        # A held hit must never outlive the entry it was read from.
+        self._hit_encodings.pop(key, None)
+        self.store.put(key, envelope)
 
     def _enqueue(self, job):
         spec = job.spec
@@ -465,13 +484,11 @@ class CompileServer:
             # Re-check the cache at execution time: a recovered twin or
             # an earlier queue entry with the same key may have
             # published the artifact while this job waited.
-            envelope = self.store.get(job.key)
-            if envelope is not self.store.MISS:
+            hit = self._store_hit(job.key)
+            if hit is not None:
                 self._incr("server_cache_hits_late")
                 job.cached = True
-                self._finish(job, envelope["status"],
-                             artifact=envelope["artifact"],
-                             summary=envelope["summary"], seconds=0.0)
+                self._finish(job, **hit)
                 return
         job.state = "running"
         job.exec_seq = next(self._exec_seq)
@@ -504,13 +521,13 @@ class CompileServer:
             # Failed-but-deterministic outcomes are cached too:
             # replaying a compile that finds no legal mapping must not
             # redo the search, and the envelope preserves its status.
-            self.store.put(job.key, {
+            self._publish(job.key, {
                 "status": out["status"], "summary": out["summary"],
                 "artifact": artifact,
             })
             for derived_key, payload in out.get("derived", {}).items():
                 derived = pickle.loads(payload)
-                self.store.put(derived_key, {
+                self._publish(derived_key, {
                     "status": "ok" if getattr(derived, "ok", True)
                     else "failed",
                     "summary": {"ok": getattr(derived, "ok", True)},
@@ -553,7 +570,9 @@ class CompileServer:
         self._pools[shard] = self._make_pool()
 
     def _finish(self, job, status, artifact=None, summary=None,
-                seconds=0.0, error=None, extra=None):
+                seconds=0.0, error=None, extra=None, encoding=None):
+        """Complete ``job``. A hit passes its held ``encoding`` of the
+        artifact; a computed job passes the ``artifact`` itself."""
         if status == "shed":
             job.state = "shed"
         elif status in ("done", "failed"):
@@ -575,11 +594,11 @@ class CompileServer:
             record["error"] = error
         if extra:
             record.update(extra)
-        if artifact is not None or job.state == "done":
-            record["artifact_b64"], record["digest"] = (
-                self._hit_encoding(job.key, artifact) if job.cached
-                else _encode_artifact(artifact)
-            )
+        if encoding is None and (artifact is not None
+                                 or job.state == "done"):
+            encoding = _encode_artifact(artifact)
+        if encoding is not None:
+            record["artifact_b64"], record["digest"] = encoding
         job.record = record
         if not job.cached and job.state in ("done", "failed") \
                 and seconds > 0:
@@ -608,6 +627,9 @@ class CompileServer:
                 "cached": job.cached,
                 "digest": record.get("digest"),
             })
+        # Retained for late queries, which never need the canonical key
+        # (~75 KB for a preset spec).
+        job.key = None
         self._completed[job.job_id] = job
         while len(self._completed) > _COMPLETED_RETENTION:
             self._completed.popitem(last=False)

@@ -24,7 +24,10 @@ keyed by the canonical string of everything the computation depends on
   (magic, store version, payload format, payload size, payload SHA-256)
   followed by the pickle bytes. ``get`` verifies size and digest before
   unpickling; a mismatch (torn or corrupted blob) is treated as a miss
-  and the entry is dropped, never an exception.
+  and the entry is dropped, never an exception. ``touch`` counts a hit
+  from the index alone, with the same LRU and hit bookkeeping, for a
+  caller that still holds what an earlier verified ``get`` returned;
+  :meth:`ArtifactStore.fsck` re-verifies every object.
 * **Bounded + LRU** — ``max_entries`` / ``max_bytes`` caps; the
   least-recently-used entries are evicted (and their files deleted)
   when a put exceeds a cap. Hits, misses, evictions, and dropped-torn
@@ -196,12 +199,26 @@ class ArtifactStore:
             self.misses += 1
             self._incr("store_misses")
             return self.MISS
+        self._count_hit(entry)
+        return payload
+
+    def touch(self, digest):
+        """Count a hit on the entry at ``digest`` without reading its
+        object, exactly as :meth:`get` counts one; False (and nothing
+        counted) when the index no longer holds it. For a caller that
+        still holds a verified copy of what ``get`` returned."""
+        entry = self._entries.get(digest)
+        if entry is None:
+            return False
+        self._count_hit(entry)
+        return True
+
+    def _count_hit(self, entry):
         self.hits += 1
         self._incr("store_hits")
         self._seq += 1
         entry["seq"] = self._seq
         entry["hits"] = entry.get("hits", 0) + 1
-        return payload
 
     def _read_object(self, digest):
         """Read + verify one object; drops the entry on any damage."""

@@ -3,7 +3,8 @@
 The scheduler, DSE explorer and workload generators all draw randomness
 through :class:`DeterministicRng` so that a single seed reproduces a full
 co-design run. The class wraps :class:`random.Random` and adds the few
-weighted-choice helpers the framework needs.
+helpers the framework needs: labelled forks and spawns, and Bernoulli
+trials.
 """
 
 import random
@@ -80,21 +81,6 @@ class DeterministicRng:
         """Shuffle a list in place and return it."""
         self._random.shuffle(items)
         return items
-
-    def weighted_choice(self, items, weights):
-        """Choose one item with probability proportional to its weight."""
-        if len(items) != len(weights):
-            raise ValueError("items and weights must have equal length")
-        total = float(sum(weights))
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
-        pick = self._random.random() * total
-        cumulative = 0.0
-        for item, weight in zip(items, weights):
-            cumulative += weight
-            if pick < cumulative:
-                return item
-        return items[-1]
 
     def gauss(self, mu, sigma):
         """Gaussian sample."""

@@ -1,11 +1,12 @@
 """Tests for the DOT/text printers and the command-line interface."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.adg import topologies
-from repro.cli import main
+from repro.cli import _print_rejected, main
 from repro.compiler.kernel import VariantParams
 from repro.ir.printer import (
     adg_to_dot,
@@ -76,6 +77,16 @@ class TestCli:
         assert code == 0
         assert "simulated cycles" in out
         assert "correct: True" in out
+
+    def test_rejected_reasons_print_whole(self, capsys):
+        reason = ("illegal mapping (ScheduleCost(unplaced=0, unrouted=0, "
+                  "overuse_pe=1, overuse_port=0, overuse_link=6, "
+                  "flow=3, skew=12.5, ii=4))")
+        assert len(reason) > 100
+        params = VariantParams(unroll=2)
+        _print_rejected(SimpleNamespace(rejected=[(params, reason)]))
+        out = capsys.readouterr().out
+        assert out == f"  {params.describe()}: {reason}\n"
 
     def test_unknown_target_exits(self):
         with pytest.raises(SystemExit):

@@ -8,6 +8,7 @@ lives in :class:`TestCrashSafety`, reusing the PR 5 kill-harness
 pattern from ``test_dse_checkpoint.py``.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -203,6 +204,21 @@ class TestArtifactStore:
         assert store.get("b") is store.MISS
         assert store.get("a") == 1
         assert store.stats()["evictions"] == 1
+
+    def test_touch_counts_a_hit_like_get(self, tmp_path):
+        read, touched = (ArtifactStore(str(tmp_path / name), max_entries=2)
+                         for name in ("read", "touched"))
+        for store in (read, touched):
+            store.put("a", 1)
+            store.put("b", 2)
+        assert read.get("a") == 1
+        assert touched.touch(ArtifactStore.key_digest("a"))
+        assert not touched.touch(ArtifactStore.key_digest("absent"))
+        for store in (read, touched):
+            store.put("c", 3)          # evicts b in both
+        assert read._entries == touched._entries
+        assert read.stats() | {"root": None} \
+            == touched.stats() | {"root": None}
 
     def test_max_bytes_eviction(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "s"), max_bytes=4096)
@@ -493,6 +509,125 @@ class TestServedEqualsDirect:
             record_b = second_client.wait(second["job_id"])
         assert record_a["digest"] == record_b["digest"]
         assert second["job_id"] == first["job_id"]   # same job
+
+
+def _fast_spec(seed):
+    return _spec("compile", seed=seed, sched_iters=10)
+
+
+def _strings(value):
+    """Every string ``value`` holds, through dicts, sequences and
+    dataclasses."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _strings(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _strings(item)
+    elif dataclasses.is_dataclass(value):
+        for spec_field in dataclasses.fields(value):
+            yield from _strings(getattr(value, spec_field.name))
+
+
+class TestKnownHits:
+    """A hit on a key whose encoding the server holds is answered from
+    memory after an index check; the store's bookkeeping must read as
+    if every hit had gone through ``get``."""
+
+    def test_hits_keep_get_bookkeeping(self, tmp_path, monkeypatch):
+        reads = []
+        read_object = ArtifactStore._read_object
+
+        def counting_read(store, digest):
+            reads.append(digest)
+            return read_object(store, digest)
+
+        monkeypatch.setattr(ArtifactStore, "_read_object", counting_read)
+        a, b, c = (job_key(_fast_spec(seed)) for seed in (1, 2, 3))
+        with BackgroundServer(str(tmp_path / "s"), workers=0,
+                              max_entries=2) as bg:
+            with ServerClient(*bg.address) as client:
+                client.run(_fast_spec(1))
+                client.run(_fast_spec(2))
+                # First hits on a and b read their objects; the later
+                # hits on a are answered from memory.
+                for seed in (1, 2, 1, 1, 1):
+                    assert client.run(_fast_spec(seed))["cached"]
+                hit_reads = len(reads)
+                client.run(_fast_spec(3))   # evicts the LRU entry: b
+            served = bg.server.store
+        assert hit_reads == 2
+        # The same traffic through get alone.
+        monkeypatch.setattr(ArtifactStore, "_read_object", read_object)
+        oracle = ArtifactStore(str(tmp_path / "oracle"), max_entries=2)
+        oracle.put(a, "a")
+        oracle.put(b, "b")
+        for key in (a, b, a, a, a):
+            assert oracle.get(key) is not oracle.MISS
+        oracle.put(c, "c")
+
+        def bookkeeping(store):
+            return {digest: (entry["seq"], entry["hits"])
+                    for digest, entry in store._entries.items()}
+
+        assert bookkeeping(served) == bookkeeping(oracle)
+        assert set(bookkeeping(served)) \
+            == {ArtifactStore.key_digest(key) for key in (a, c)}
+        for name in ("hits", "evictions"):
+            assert served.stats()[name] == oracle.stats()[name]
+        assert served.stats()["hits"] == 5
+
+    def test_evicted_key_is_recomputed(self, tmp_path):
+        with BackgroundServer(str(tmp_path / "s"), workers=0,
+                              max_entries=1) as bg:
+            with ServerClient(*bg.address) as client:
+                cold = client.run(_fast_spec(1))
+                assert client.run(_fast_spec(1))["cached"]
+                client.run(_fast_spec(2))   # evicts the held key
+                again = client.run(_fast_spec(1))
+                held = list(bg.server._hit_encodings)
+        assert not again["cached"]
+        assert again["digest"] == cold["digest"]
+        assert held == []
+
+    def test_republished_key_is_read_again(self, tmp_path):
+        """A simulate job re-publishes an evicted compile key under its
+        own, shorter summary; a later hit serves that envelope, not the
+        one held from before the eviction."""
+        root = str(tmp_path / "s")
+        with BackgroundServer(root, workers=0, max_entries=1) as bg:
+            with ServerClient(*bg.address) as client:
+                client.run(_fast_spec(1))
+                assert client.run(_fast_spec(1))["cached"]
+                client.run(_fast_spec(2))   # evicts the held key
+                assert client.run(_spec("simulate", seed=1,
+                                        sched_iters=10))["ok"]
+                served = client.run(_fast_spec(1))
+        with BackgroundServer(root, workers=0) as bg:
+            with ServerClient(*bg.address) as client:
+                read = client.run(_fast_spec(1))
+        assert served["cached"] and read["cached"]
+        for name in ("status", "summary", "digest", "artifact_b64"):
+            assert served[name] == read[name]
+
+    def test_finished_jobs_keep_no_long_strings(self, tmp_path):
+        with BackgroundServer(str(tmp_path / "s"), workers=0) as bg:
+            with ServerClient(*bg.address) as client:
+                for _ in range(20):
+                    assert client.run(_fast_spec(1))["ok"]
+            jobs = list(bg.server._completed.values())
+        assert len(jobs) == 20
+        for job in jobs:
+            held = [getattr(job, slot) for slot in type(job).__slots__
+                    if slot not in ("future", "record")]
+            # The artifact's encoding is one string shared by every hit
+            # on the key (test_hits_share_one_encoding).
+            held.append({name: value for name, value in job.record.items()
+                         if name != "artifact_b64"})
+            assert job.key is None
+            assert max(map(len, _strings(held))) <= 1024
 
 
 # ---------------------------------------------------------------------

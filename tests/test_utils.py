@@ -95,27 +95,6 @@ class TestDeterministicRng:
         with pytest.raises(ValueError):
             DeterministicRng().choice([])
 
-    def test_weighted_choice_respects_zero_weight(self):
-        rng = DeterministicRng(3)
-        picks = {
-            rng.weighted_choice(["a", "b"], [1.0, 0.0]) for _ in range(50)
-        }
-        assert picks == {"a"}
-
-    def test_weighted_choice_validates(self):
-        rng = DeterministicRng()
-        with pytest.raises(ValueError):
-            rng.weighted_choice(["a"], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            rng.weighted_choice(["a", "b"], [0.0, 0.0])
-
-    def test_weighted_choice_distribution(self):
-        rng = DeterministicRng(11)
-        counts = {"a": 0, "b": 0}
-        for _ in range(2000):
-            counts[rng.weighted_choice(["a", "b"], [3.0, 1.0])] += 1
-        assert counts["a"] > counts["b"] * 2
-
     def test_shuffle_preserves_elements(self):
         rng = DeterministicRng(5)
         items = list(range(30))
