@@ -9,15 +9,52 @@ so pytest does not collect it as a test file.
 
 import copy
 
+from repro.adg import topologies
+from repro.compiler import compile_kernel
 from repro.errors import SimulationError
+from repro.harness.compile_cache import cached_compile
 from repro.sim import SIM_ENGINES, simulate, simulate_batch
+from repro.utils.rng import DeterministicRng
 from repro.utils.telemetry import Telemetry
+from repro.workloads import kernel as make_kernel
 
 #: The single-cycle engine every other engine is pinned against.
 ORACLE = "stepped"
 
 #: The scalar engines plus ``batched``: a one-lane ``simulate_batch``.
 ENGINES = (*SIM_ENGINES, "batched")
+
+#: Workloads that need the SPU's indirect/join hardware to compile on
+#: their natural form.
+SPU_ONLY = {"join", "spmm_outer", "resparsify"}
+
+
+def adg_for(accel, depth=None, banks=None):
+    """A fresh ``accel`` preset, optionally with every sync FIFO at
+    ``depth`` and (SPU only) ``banks`` scratchpad banks."""
+    adg = topologies.PRESETS[accel]()
+    if depth is not None:
+        for port in adg.sync_elements():
+            port.depth = depth
+    if banks is not None and accel == "spu":
+        adg.scratchpad().banks = banks
+    return adg
+
+
+def compiled_for(name, accel, scale=0.05, iters=60, depth=None,
+                 banks=None):
+    """``(adg, CompiledKernel)`` for ``name`` on that ADG, memoized
+    process-wide so engine tests share one compile per shape."""
+    adg = adg_for(accel, depth=depth, banks=banks)
+    result = cached_compile(
+        adg, ("test-sim-engines", name, scale, iters),
+        lambda: compile_kernel(
+            make_kernel(name, scale), adg,
+            rng=DeterministicRng(("engines", name)),
+            max_iters=iters, attempts=3,
+        ),
+    )
+    return adg, result
 
 
 def simulate_on(adg, compiled, memory, engine, telemetry=None):

@@ -14,55 +14,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sim.machine as machine
-from repro.adg import topologies
-from repro.compiler import compile_kernel
 from repro.errors import SimulationError
-from repro.harness.compile_cache import cached_compile
 from repro.sim import simulate
-from repro.utils.rng import DeterministicRng
 from repro.workloads import kernel as make_kernel
 from repro.workloads.registry import workload_names
 from tests.engine_parity import (
     ENGINES,
+    SPU_ONLY,
     assert_engine_parity,
+    compiled_for as _compiled,
     run_all_engines,
     simulate_on,
 )
-
-#: Workloads that need the SPU's indirect/join hardware to compile on
-#: their natural form.
-_SPU_ONLY = {"join", "spmm_outer", "resparsify"}
-
-
-def _adg_for(accel, depth=None, banks=None):
-    adg = topologies.PRESETS[accel]()
-    if depth is not None:
-        for port in adg.sync_elements():
-            port.depth = depth
-    if banks is not None and accel == "spu":
-        adg.scratchpad().banks = banks
-    return adg
-
-
-def _compiled(name, accel, scale=0.05, iters=60, depth=None, banks=None):
-    adg = _adg_for(accel, depth=depth, banks=banks)
-    result = cached_compile(
-        adg, ("test-sim-engines", name, scale, iters),
-        lambda: compile_kernel(
-            make_kernel(name, scale), adg,
-            rng=DeterministicRng(("engines", name)),
-            max_iters=iters, attempts=3,
-        ),
-    )
-    return adg, result
-
 
 class TestRegistryParity:
     """Acceptance: bit-identical SimResult on every registry workload."""
 
     @pytest.mark.parametrize("name", workload_names())
     def test_engines_agree(self, name):
-        accel = "spu" if name in _SPU_ONLY else "softbrain"
+        accel = "spu" if name in SPU_ONLY else "softbrain"
         adg, compiled = _compiled(name, accel)
         assert compiled.ok, f"{name} failed to compile on {accel}"
         workload = make_kernel(name, 0.05)
@@ -99,7 +69,7 @@ class TestRandomizedParity:
         scale=st.sampled_from([0.03, 0.05]),
     )
     def test_random_shapes_agree(self, name, depth, banks, scale):
-        accel = "spu" if name in _SPU_ONLY else "softbrain"
+        accel = "spu" if name in SPU_ONLY else "softbrain"
         adg, compiled = _compiled(name, accel, scale=scale,
                                   depth=depth, banks=banks)
         if not compiled.ok:
