@@ -162,13 +162,15 @@ def execute_job(spec_dict, compiled_payload=None):
     """Run one job; returns a plain picklable dict:
 
     ``{"status": "ok"|"failed", "payload": pickle-bytes-of-artifact,
-    "summary": {...}, "seconds": float, "derived": {key: payload}}``
+    "summary": {...}, "seconds": float, "derived": {key: {"status",
+    "summary", "payload"}}}``
 
     ``compiled_payload`` is an optional pickled ``CompiledKernel`` the
     caller already holds for this spec's compile subkey (simulate jobs
     skip recompiling). ``derived`` carries byproducts worth caching —
-    a simulate job that had to compile returns the compile artifact so
-    the server can store both.
+    a simulate job that had to compile returns the compile artifact,
+    with the status and summary a ``compile`` job would have given it,
+    so the server can store both.
     """
     spec = JobSpec.from_dict(dict(spec_dict))
     start = time.perf_counter()
@@ -198,8 +200,8 @@ def _compile(spec):
     return adg, workload, result
 
 
-def _run_compile(spec, compiled_payload):
-    adg, _, result = _compile(spec)
+def _compile_outcome(result):
+    """``(summary, status)`` of a compile result, whichever job ran it."""
     summary = {
         "ok": result.ok,
         "kernel": result.kernel_name,
@@ -210,7 +212,13 @@ def _run_compile(spec, compiled_payload):
     if result.ok:
         summary["variant"] = result.params.describe()
         summary["schedule"] = result.schedule.summary()
-    return result, summary, "ok" if result.ok else "failed", {}
+    return summary, "ok" if result.ok else "failed"
+
+
+def _run_compile(spec, compiled_payload):
+    _, _, result = _compile(spec)
+    summary, status = _compile_outcome(result)
+    return result, summary, status, {}
 
 
 def _run_simulate(spec, compiled_payload):
@@ -224,9 +232,11 @@ def _run_simulate(spec, compiled_payload):
         workload = make_kernel(spec.workload, spec.scale)
     else:
         adg, workload, compiled = _compile(spec)
-        derived[compile_subkey(spec)] = pickle.dumps(
-            compiled, protocol=4
-        )
+        summary, status = _compile_outcome(compiled)
+        derived[compile_subkey(spec)] = {
+            "status": status, "summary": summary,
+            "payload": pickle.dumps(compiled, protocol=4),
+        }
     if not compiled.ok:
         return (None, {"ok": False, "error": "no legal mapping"},
                 "failed", derived)

@@ -525,13 +525,11 @@ class CompileServer:
                 "status": out["status"], "summary": out["summary"],
                 "artifact": artifact,
             })
-            for derived_key, payload in out.get("derived", {}).items():
-                derived = pickle.loads(payload)
+            for derived_key, derived in out.get("derived", {}).items():
                 self._publish(derived_key, {
-                    "status": "ok" if getattr(derived, "ok", True)
-                    else "failed",
-                    "summary": {"ok": getattr(derived, "ok", True)},
-                    "artifact": derived,
+                    "status": derived["status"],
+                    "summary": derived["summary"],
+                    "artifact": pickle.loads(derived["payload"]),
                 })
         self._finish(job, out["status"],
                      artifact=artifact, summary=out["summary"],

@@ -42,6 +42,7 @@ Two replay engines share the per-cycle transition function:
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.adg.components import Memory, SyncElement
 from repro.compiler.codegen import CommandKind, generate_control_program
@@ -150,7 +151,7 @@ class _Port:
     def active_segment(self):
         while self.cursor < len(self.segments):
             segment = self.segments[self.cursor]
-            if not segment.done:
+            if segment.moved < segment.words:
                 return segment
             self.cursor += 1
         return None
@@ -160,7 +161,7 @@ class _Port:
         memory drain (never ahead of production)."""
         while self.cursor < len(self.segments):
             segment = self.segments[self.cursor]
-            if not segment.done:
+            if segment.moved < segment.words:
                 if segment.kind != "mem":
                     # Recurrence segments complete through the loopback
                     # path; wait for production to pass them.
@@ -250,6 +251,23 @@ class _RegionState:
         )
 
 
+def repeated_blocks(values, first, base, size, count):
+    """How many of the ``count`` blocks of ``size`` starting at
+    ``values[base]`` equal ``values[first:first + size]``, counted up
+    to the first that differs. One slice comparison covers the whole
+    span; only a span that differs is compared block by block."""
+    pattern = values[first:first + size]
+    if values[base:base + count * size] == pattern * count:
+        return count
+    blocks = 0
+    while blocks < count:
+        start = base + blocks * size
+        if values[start:start + size] != pattern:
+            break
+        blocks += 1
+    return blocks
+
+
 def deadlock_deadline(replay, config_cycles, factor):
     """The cycle past which ``replay`` counts as deadlocked:
     ``config_cycles`` plus ``factor`` times its traffic (input words,
@@ -320,51 +338,10 @@ class _Replay:
             for name in states
         }
 
-        # Static inventories for the event engine: every monotone
-        # counter the machine owns, in a fixed order, so steady-state
-        # windows can be extrapolated by vector arithmetic.
-        self._in_segs = [
-            seg
-            for state in self.state_list
-            for port, _lanes in state.in_ports.values()
-            for seg in port.segments
-        ]
-        self._out_segs = [
-            seg
-            for state in self.state_list
-            for port in state.out_ports.values()
-            for seg in port.segments
-        ]
-        self._sinks = [
-            sink
-            for state in self.state_list
-            for sinks in state.recur_sinks.values()
-            for sink in sinks
-        ]
-        self._scalar_segs = [
-            (seg, state.region.name)
-            for state in self.state_list
-            for port, _lanes in state.in_ports.values()
-            for seg in port.segments
-            if seg.channel == "scalar"
-        ] + [
-            (seg, state.region.name)
-            for state in self.state_list
-            for port in state.out_ports.values()
-            for seg in port.segments
-            if seg.channel == "scalar"
-        ]
-        self._port_index = {}
-        for state in self.state_list:
-            for port, _lanes in state.in_ports.values():
-                self._port_index[id(port)] = len(self._port_index)
-            for port in state.out_ports.values():
-                self._port_index[id(port)] = len(self._port_index)
-        self._join_states = [
-            state for state in self.state_list
-            if state.region.join_spec is not None
-        ]
         self._history = {}
+        # Live segments collected by the latest ``_snapshot_key``.
+        self._live_in = []
+        self._live_out = []
 
         # Engine telemetry, accumulated as plain ints (hot loop).
         self.steps = 0
@@ -380,6 +357,91 @@ class _Replay:
             if not barrier_state.done():
                 return True
         return False
+
+    # -- static inventories, built on first use -----------------------
+    # ``simulate_batch`` builds a ``_Replay`` per lane only for its
+    # structure, so nothing here is paid in ``__init__``.
+    @cached_property
+    def _memory_plan(self):
+        """Per memory, in round-robin order: ``(region name, input
+        ports, output ports)`` for every region with a port on that
+        memory. The last memory's pass lists every output port: its
+        ``drain_segment`` call moves each drain cursor past finished
+        segments once per cycle, and :meth:`_snapshot_key` keys that
+        cursor."""
+        plan = []
+        last = len(self.memories) - 1
+        for index, memory_node in enumerate(self.memories):
+            name = memory_node.name
+            entries = []
+            for state in self.state_list:
+                ins = [
+                    port for port, _lanes in state.in_ports.values()
+                    if any(seg.memory_name == name for seg in port.segments)
+                ]
+                outs = [
+                    port for port in state.out_ports.values()
+                    if index == last or any(
+                        seg.memory_name == name for seg in port.segments
+                    )
+                ]
+                if ins or outs:
+                    entries.append((state.region.name, ins, outs))
+            plan.append((memory_node, entries))
+        return plan
+
+    @cached_property
+    def _probe_regions(self):
+        """Per region, what :meth:`_snapshot_key` walks: ``(state,
+        region name, input ports, output ports)``."""
+        return [
+            (state, state.region.name,
+             [port for port, _lanes in state.in_ports.values()],
+             list(state.out_ports.values()))
+            for state in self.state_list
+        ]
+
+    @cached_property
+    def _sinks(self):
+        return [
+            sink
+            for state in self.state_list
+            for sinks in state.recur_sinks.values()
+            for sink in sinks
+        ]
+
+    @cached_property
+    def _scalar_segs(self):
+        return [
+            (seg, state.region.name)
+            for state in self.state_list
+            for port, _lanes in state.in_ports.values()
+            for seg in port.segments
+            if seg.channel == "scalar"
+        ] + [
+            (seg, state.region.name)
+            for state in self.state_list
+            for port in state.out_ports.values()
+            for seg in port.segments
+            if seg.channel == "scalar"
+        ]
+
+    @cached_property
+    def _port_index(self):
+        index = {}
+        for state in self.state_list:
+            for port, _lanes in state.in_ports.values():
+                index[id(port)] = len(index)
+            for port in state.out_ports.values():
+                index[id(port)] = len(index)
+        return index
+
+    @cached_property
+    def _join_states(self):
+        return [
+            state for state in self.state_list
+            if state.region.join_spec is not None
+        ]
 
     # -- main loop ------------------------------------------------------
     def replay(self, engine, memory):
@@ -482,21 +544,23 @@ class _Replay:
 
     # -- memory engines -------------------------------------------------
     def _service_memories(self, cycle):
-        for memory_node in self.memories:
+        started = self.region_started
+        for memory_node, entries in self._memory_plan:
+            name = memory_node.name
             line_budget = 1          # one line transaction per cycle
             indirect_budget = memory_node.banks
             scalar_ready = (cycle % SCALAR_ACCESS_CYCLES) == 0
             served = False
             # Round-robin across regions and ports, reads then writes.
-            for state in self.state_list:
-                if not self.region_started[state.region.name]:
+            for region_name, in_ports, out_ports in entries:
+                if not started[region_name]:
                     continue
-                if self.blocked(state.region.name):
+                if self.blocked(region_name):
                     continue
-                for port, _lanes in state.in_ports.values():
+                for port in in_ports:
                     segment = port.active_segment()
                     if (segment is None or segment.kind != "mem"
-                            or segment.memory_name != memory_node.name):
+                            or segment.memory_name != name):
                         continue
                     moved = self._serve_segment(
                         segment, port.space, line_budget,
@@ -511,10 +575,9 @@ class _Replay:
                             indirect_budget -= moved
                         else:
                             scalar_ready = False
-                for port in state.out_ports.values():
+                for port in out_ports:
                     segment = port.drain_segment()
-                    if (segment is None
-                            or segment.memory_name != memory_node.name):
+                    if segment is None or segment.memory_name != name:
                         continue
                     moved = self._serve_segment(
                         segment, min(port.fill,
@@ -531,7 +594,7 @@ class _Replay:
                         else:
                             scalar_ready = False
             if served:
-                self.memory_busy[memory_node.name] += 1
+                self.memory_busy[name] += 1
 
     def _serve_segment(self, segment, available_words, line_budget,
                        indirect_budget, scalar_ready):
@@ -713,6 +776,16 @@ class _Replay:
         monotone counters (handled by :meth:`_max_repetitions` caps),
         emission patterns (checked explicitly), and join pop sequences
         (batching is disabled while a join region is still firing).
+
+        Only *live* segments enter the key: on an input port the one
+        under the cursor, on an output port those between its drain
+        cursor and its production cursor. Every output segment below
+        that window is filled and drained and no longer served, and
+        every one above it is untouched (nothing filled or moved, no
+        carry), so their state is fixed by the two cursors, which the
+        key holds. The same pass collects the live segments into
+        ``_live_in``/``_live_out``: the monotone counters
+        :meth:`_mono_vector` reads and the batch advances.
         """
         cycle = self.cycle
         parts = [
@@ -720,48 +793,58 @@ class _Replay:
             cycle % SCALAR_ACCESS_CYCLES if self._scalar_pending() else -1,
         ]
         append = parts.append
+        extend = parts.extend
+        port_index = self._port_index
         for arrival, port, words in self.pending_recur:
-            append(max(0, arrival - cycle))
-            append(self._port_index[id(port)])
-            append(words)
+            extend((max(0, arrival - cycle), port_index[id(port)], words))
         finish = self.region_finish
-        for state in self.state_list:
+        live_in = []
+        live_out = []
+        for state, name, in_ports, out_ports in self._probe_regions:
             append(-2)  # region separator (sections vary in length)
-            append((2 if state.region.name in finish else 0)
-                   + (1 if state.all_fired else 0))
-            append(0 if state.all_fired
-                   else max(0, state.next_fire - cycle))
+            all_fired = state.fired >= state.total_instances
+            append((2 if name in finish else 0) + (1 if all_fired else 0))
+            append(0 if all_fired else max(0, state.next_fire - cycle))
             for completion, emission in state.inflight:
+                # A firing's emission lists every output, in port order.
                 append(completion - cycle)
-                for out_name in state.out_ports:
-                    append(emission.get(out_name, 0))
+                extend(emission.values())
             append(-2)
-            for port, _lanes in state.in_ports.values():
+            for port in in_ports:
                 segment = port.active_segment()
-                append(port.fill)
-                append(port.cursor)
-                append(segment._carry if segment is not None else -1.0)
-            for port in state.out_ports.values():
-                append(port.fill)
-                append(port.cursor)
-                append(port.assign_cursor)
-                for segment in port.segments:
-                    append(segment.filled - segment.moved)
-                    append((2 if segment.filled >= segment.words else 0)
-                           + (1 if segment.moved >= segment.words else 0))
-                    append(segment._carry)
-            for sinks in state.recur_sinks.values():
-                for sink in sinks:
-                    append(1 if sink[1] > 0 else 0)
+                if segment is None:
+                    extend((port.fill, port.cursor, -1.0))
+                else:
+                    extend((port.fill, port.cursor, segment._carry))
+                    live_in.append(segment)
+            for port in out_ports:
+                cursor = port.cursor
+                assign = port.assign_cursor
+                extend((port.fill, cursor, assign))
+                if cursor > assign:
+                    cursor, assign = assign, cursor
+                for segment in port.segments[cursor:assign + 1]:
+                    words = segment.words
+                    extend((segment.filled - segment.moved,
+                            (2 if segment.filled >= words else 0)
+                            + (1 if segment.moved >= words else 0),
+                            segment._carry))
+                    live_out.append(segment)
+        for sink in self._sinks:
+            append(1 if sink[1] > 0 else 0)
+        self._live_in = live_in
+        self._live_out = live_out
         return tuple(parts)
 
     def _mono_vector(self):
-        """Every monotone counter, in the fixed inventory order."""
+        """Every monotone counter that can still move: memory busy
+        cycles, fired instances, the live segments of the latest key,
+        and the recurrence-sink budgets."""
         vector = [self.memory_busy[m.name] for m in self.memories]
         extend = vector.extend
         extend(state.fired for state in self.state_list)
-        extend(seg.moved for seg in self._in_segs)
-        for seg in self._out_segs:
+        extend(seg.moved for seg in self._live_in)
+        for seg in self._live_out:
             vector.append(seg.moved)
             vector.append(seg.filled)
         extend(sink[1] for sink in self._sinks)
@@ -776,6 +859,8 @@ class _Replay:
         the same delta. Apply as many repetitions as fit before any
         boundary (segment end, instance budget, command arrival,
         emission pattern change, deadline), then resume stepping.
+        Equal keys hold equal cursors, so both snapshots' vectors list
+        the same live segments in the same order.
         """
         # Join regions replay a data-dependent pop sequence per
         # instance; batching resumes once they have all fired.
@@ -823,12 +908,12 @@ class _Replay:
                     cap, (state.total_instances - state.fired - 1) // moved
                 )
             index += 1
-        for seg in self._in_segs:
+        for seg in self._live_in:
             moved = delta[index]
             if moved:
                 cap = min(cap, (seg.words - seg.moved - 1) // moved)
             index += 1
-        for seg in self._out_segs:
+        for seg in self._live_out:
             moved = delta[index]
             if moved:
                 cap = min(cap, (seg.words - seg.moved - 1) // moved)
@@ -853,17 +938,8 @@ class _Replay:
                 continue
             first = prev_mono[fired_base + offset]
             for out_name in state.out_ports:
-                values = state.emitted[out_name]
-                repetition = 0
-                while repetition < cap:
-                    base = state.fired + repetition * fires
-                    if any(
-                        values[base + j] != values[first + j]
-                        for j in range(fires)
-                    ):
-                        break
-                    repetition += 1
-                cap = min(cap, repetition)
+                cap = repeated_blocks(state.emitted[out_name], first,
+                                      state.fired, fires, cap)
                 if cap <= 0:
                     return 0
         return cap
@@ -881,10 +957,10 @@ class _Replay:
             state.fired += fires
             self.batch_instances += fires
             index += 1
-        for seg in self._in_segs:
+        for seg in self._live_in:
             seg.moved += repetitions * delta[index]
             index += 1
-        for seg in self._out_segs:
+        for seg in self._live_out:
             seg.moved += repetitions * delta[index]
             index += 1
             seg.filled += repetitions * delta[index]

@@ -593,9 +593,9 @@ class TestKnownHits:
         assert held == []
 
     def test_republished_key_is_read_again(self, tmp_path):
-        """A simulate job re-publishes an evicted compile key under its
-        own, shorter summary; a later hit serves that envelope, not the
-        one held from before the eviction."""
+        """A simulate job re-publishes an evicted compile key; a later
+        hit serves that envelope, not the one held from before the
+        eviction."""
         root = str(tmp_path / "s")
         with BackgroundServer(root, workers=0, max_entries=1) as bg:
             with ServerClient(*bg.address) as client:
@@ -611,6 +611,21 @@ class TestKnownHits:
         assert served["cached"] and read["cached"]
         for name in ("status", "summary", "digest", "artifact_b64"):
             assert served[name] == read[name]
+
+    def test_republished_compile_keeps_its_summary(self, tmp_path):
+        """A compile artifact a simulate job publishes as a byproduct
+        serves what the cold compile served."""
+        with BackgroundServer(str(tmp_path / "s"), workers=0,
+                              max_entries=1) as bg:
+            with ServerClient(*bg.address) as client:
+                cold = client.run(_fast_spec(1))
+                client.run(_fast_spec(2))   # evicts the compile key
+                assert client.run(_spec("simulate", seed=1,
+                                        sched_iters=10))["ok"]
+                hit = client.run(_fast_spec(1))
+        assert hit["cached"] and not cold["cached"]
+        for name in ("status", "summary", "digest"):
+            assert hit[name] == cold[name]
 
     def test_finished_jobs_keep_no_long_strings(self, tmp_path):
         with BackgroundServer(str(tmp_path / "s"), workers=0) as bg:

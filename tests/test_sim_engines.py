@@ -18,6 +18,7 @@ from repro.errors import SimulationError
 from repro.sim import simulate
 from repro.workloads import kernel as make_kernel
 from repro.workloads.registry import workload_names
+from repro.sim.machine import repeated_blocks
 from tests.engine_parity import (
     ENGINES,
     SPU_ONLY,
@@ -191,3 +192,39 @@ class TestEngineSelection:
         assert stepped == results["stepped"].cycles
         assert event * 5 <= stepped
         assert telemetries["event"].counters["sim_bulk_fire_events"] > 0
+
+
+def _per_block_repeats(values, first, base, size, count):
+    """The emission-pattern check the event engine made before it
+    compared slices: one generator per block."""
+    repetition = 0
+    while repetition < count:
+        start = base + repetition * size
+        if any(values[start + j] != values[first + j]
+               for j in range(size)):
+            break
+        repetition += 1
+    return repetition
+
+
+class TestRepeatedBlocks:
+    """The slice-comparison emission check counts exactly what the
+    per-block generator counted."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_block_generator(self, data):
+        words = st.integers(0, 2)
+        size = data.draw(st.integers(1, 4), label="size")
+        count = data.draw(st.integers(1, 12), label="count")
+        head = data.draw(st.lists(words, min_size=1, max_size=8))
+        first = data.draw(st.integers(0, len(head) - 1), label="first")
+        pattern = (head + [0] * size)[first:first + size]
+        values = head + [0] * max(0, first + size - len(head))
+        base = len(values)
+        repeats = data.draw(st.integers(0, count + 1), label="repeats")
+        values += pattern * repeats
+        values += data.draw(st.lists(words, min_size=count * size,
+                                     max_size=count * size + 4))
+        assert repeated_blocks(values, first, base, size, count) \
+            == _per_block_repeats(values, first, base, size, count)
