@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 import repro.sim.machine as machine
 from repro.errors import SimulationError
 from repro.sim import simulate
+from repro.sim.machine import repeated_blocks
 from repro.workloads import kernel as make_kernel
 from repro.workloads.registry import workload_names
-from repro.sim.machine import repeated_blocks
 from tests.engine_parity import (
     ENGINES,
     SPU_ONLY,
