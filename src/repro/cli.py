@@ -860,10 +860,8 @@ def build_parser():
     faults_parser.add_argument("--workers", type=int, default=1,
                                help="case-evaluation processes")
     faults_parser.add_argument("--sim-engine", default=None,
-                               choices=[*SIM_ENGINES, "batched"],
-                               help="simulator replay loop; 'batched' "
-                                    "simulates all cases of a workload "
-                                    "as one columnar batch")
+                               choices=SIM_ENGINES,
+                               help="simulator replay loop")
     faults_parser.add_argument("--shrink", default=True,
                                action=argparse.BooleanOptionalAction,
                                help="minimize miscompiled cases before "
@@ -987,10 +985,9 @@ def build_parser():
     submit_parser.add_argument("--seed", type=int, default=0)
     submit_parser.add_argument("--sched-iters", type=int, default=60)
     submit_parser.add_argument("--sim-engine", default=None,
-                               choices=[*SIM_ENGINES, "batched"],
+                               choices=SIM_ENGINES,
                                help="replay loop of simulate and "
-                                    "faults jobs; 'batched' applies to "
-                                    "faults only")
+                                    "faults jobs")
     submit_parser.add_argument("--options", default=None,
                                metavar="JSON",
                                help="kind-specific options, e.g. "

@@ -27,7 +27,6 @@ from repro.faults.degrade import (
     replay_repro,
     report_miscompile,
     run_case,
-    run_cases_batched,
     shrink_case,
     write_repro,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "replay_repro",
     "report_miscompile",
     "run_case",
-    "run_cases_batched",
     "run_campaign",
     "shrink_case",
     "write_repro",

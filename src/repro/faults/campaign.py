@@ -5,9 +5,9 @@ A campaign sweeps fault count and kind over a set of workloads: case
 pick, fault draw, repair randomness), so any case replays standalone
 from its serialized spec. Per-workload baselines (healthy compile +
 simulated cycles) are prepared once and shared across cases; the cases
-themselves run either serially or across the shared fork pool
-(:mod:`repro.utils.pool`), whose workers inherit the baselines from the
-parent.
+themselves run one pool task per workload, serially or across the
+shared fork pool (:mod:`repro.utils.pool`), whose workers inherit the
+baselines from the parent.
 
 Outputs: a :class:`CampaignSummary` with outcome counts and per-workload
 degradation curves (performance retained vs. faults injected, repair
@@ -24,7 +24,6 @@ from repro.faults.degrade import (
     prepare_baseline,
     report_miscompile,
     run_case,
-    run_cases_batched,
 )
 from repro.sim import SIM_ENGINES
 from repro.utils.pool import ForkPool
@@ -44,21 +43,14 @@ class _CampaignContext:
 
 def _run_cases(cases, ctx):
     """Run one task's cases (all of one workload) against the shared
-    baselines; returns ``(outcomes, counters)``. The batched engine
-    simulates them as lanes of a single columnar batch."""
+    baselines; returns ``(outcomes, counters)``."""
     telemetry = Telemetry()
     baseline = ctx.baselines.get(cases[0].workload)
-    if ctx.sim_engine == "batched":
-        outcomes = run_cases_batched(
-            cases, baseline=baseline, sched_iters=ctx.sched_iters,
-            telemetry=telemetry,
-        )
-    else:
-        outcomes = [
-            run_case(case, baseline=baseline, sched_iters=ctx.sched_iters,
-                     telemetry=telemetry, sim_engine=ctx.sim_engine)
-            for case in cases
-        ]
+    outcomes = [
+        run_case(case, baseline=baseline, sched_iters=ctx.sched_iters,
+                 telemetry=telemetry, sim_engine=ctx.sim_engine)
+        for case in cases
+    ]
     return outcomes, dict(telemetry.counters)
 
 
@@ -158,16 +150,16 @@ def run_campaign(
     Miscompiled cases are shrunk (when ``shrink``) and written as repro
     files under ``out_dir``. ``progress`` is an optional
     ``callback(index, case, outcome)`` invoked per completed case.
-    ``sim_engine`` is a scalar engine of :func:`repro.sim.simulate`, run
-    one case per pool task, or ``"batched"``, which simulates all cases
-    of a workload as lanes of one :func:`repro.sim.simulate_batch` call
-    (one pool task per workload group, so the fork pool still
-    parallelizes across workloads).
+    ``sim_engine`` is an engine of :func:`repro.sim.simulate`. Each
+    workload's cases run as one pool task, so the fork pool
+    parallelizes across workloads.
     """
-    engines = (*SIM_ENGINES, "batched")
-    if sim_engine is not None and sim_engine not in engines:
+    # ``Faults100`` in bench/workloads.py still names the retired engine.
+    if sim_engine == "batched":
+        sim_engine = None
+    if sim_engine is not None and sim_engine not in SIM_ENGINES:
         raise ValueError(
-            f"unknown sim engine {sim_engine!r}; one of {engines}"
+            f"unknown sim engine {sim_engine!r}; one of {SIM_ENGINES}"
         )
     telemetry = telemetry if telemetry is not None else Telemetry()
     summary = CampaignSummary(seed=seed)
@@ -200,16 +192,10 @@ def run_campaign(
         for index in range(cases)
     ]
 
-    if sim_engine == "batched":
-        # One task per workload: lanes share the workload's base ADG
-        # topology, which is what the columnar engine exploits, and the
-        # fork pool still fans out across workload groups.
-        groups = {}
-        for idx, case in enumerate(specs):
-            groups.setdefault(case.workload, []).append(idx)
-        tasks = list(groups.values())
-    else:
-        tasks = [[idx] for idx in range(len(specs))]
+    groups = {}
+    for idx, case in enumerate(specs):
+        groups.setdefault(case.workload, []).append(idx)
+    tasks = list(groups.values())
     context = _CampaignContext(baselines=baselines,
                                sched_iters=sched_iters,
                                sim_engine=sim_engine)

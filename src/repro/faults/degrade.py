@@ -225,25 +225,17 @@ def _outputs_match(memory, reference):
     )
 
 
-@dataclass
-class _PreparedDegrade:
-    """A fault case taken through repair/remap/codegen, stopped right
-    before simulation — the split point that lets the campaign runner
-    simulate many prepared cases in one :func:`repro.sim.simulate_batch`
-    call. ``compiled`` is ``None`` when the outcome is already final
-    (unmappable, lint failure, codegen failure)."""
+def degrade(baseline, faults, rng=None, sched_iters=120,
+            remap_rescue=True, telemetry=None, mode="repair",
+            sim_engine=None):
+    """Inject ``faults`` into ``baseline``'s ADG, repair, verify, and
+    re-simulate. Returns a :class:`DegradeOutcome`; never raises for a
+    fault-induced failure (that is the ``unmappable`` outcome).
 
-    outcome: DegradeOutcome
-    faulted: object = None           # faulted ADG clone
-    compiled: object = None          # CompileResult on the faulted ADG
-    memory: dict = None              # constants bound, ready to simulate
-    reference: dict = None           # pure-Python reference output
-
-
-def _prepare_degrade(baseline, faults, rng=None, sched_iters=120,
-                     remap_rescue=True, telemetry=None, mode="repair"):
-    """The pre-simulation half of :func:`degrade`: inject, repair (or
-    remap), lint, codegen, and bind memories."""
+    ``mode="remap"`` skips the repair path entirely and recovers by
+    recompiling from scratch (requires ``remap_rescue``) — the control
+    arm for measuring what schedule repair buys under faults.
+    ``sim_engine`` picks the replay engine (``None`` = session default)."""
     if rng is None:
         rng = DeterministicRng("degrade")
     telemetry = telemetry if telemetry is not None else Telemetry()
@@ -287,13 +279,13 @@ def _prepare_degrade(baseline, faults, rng=None, sched_iters=120,
             outcome.detail = "lint after repair: " + ",".join(
                 sorted(report.codes())
             )
-            return _PreparedDegrade(outcome=outcome)
+            return outcome
         try:
             program = generate_control_program(repaired.scope, repaired)
         except Exception as exc:  # codegen on a lint-clean schedule
             outcome.status = "miscompiled"
             outcome.detail = f"codegen after repair: {exc}"
-            return _PreparedDegrade(outcome=outcome)
+            return outcome
     elif remap_rescue:
         # Honest failure path: repair could not recover a legal mapping,
         # so pay for a full re-compile on the faulted hardware.
@@ -306,7 +298,7 @@ def _prepare_degrade(baseline, faults, rng=None, sched_iters=120,
         telemetry.incr("fault_remap_iterations", recompiled.sched_effort)
         if not recompiled.ok:
             outcome.detail = outcome.detail or "remap found no legal mapping"
-            return _PreparedDegrade(outcome=outcome)
+            return outcome
         outcome.remap_used = True
         repaired = recompiled.schedule
         report = lint_schedule(repaired, faulted, allow_partial=False)
@@ -315,11 +307,11 @@ def _prepare_degrade(baseline, faults, rng=None, sched_iters=120,
             outcome.detail = "lint after remap: " + ",".join(
                 sorted(report.codes())
             )
-            return _PreparedDegrade(outcome=outcome)
+            return outcome
         program = recompiled.program
     else:
         outcome.detail = outcome.detail or "repair found no legal mapping"
-        return _PreparedDegrade(outcome=outcome)
+        return outcome
 
     faulted_compiled = copy.copy(baseline.compiled)
     faulted_compiled.schedule = repaired
@@ -327,22 +319,16 @@ def _prepare_degrade(baseline, faults, rng=None, sched_iters=120,
     faulted_compiled.program = program
 
     memory, reference = _memories_for(baseline, faulted_compiled.scope)
-    return _PreparedDegrade(
-        outcome=outcome, faulted=faulted, compiled=faulted_compiled,
-        memory=memory, reference=reference,
-    )
-
-
-def _classify_degrade(prepared, baseline, sim):
-    """The post-simulation half of :func:`degrade`: ``sim`` is either a
-    :class:`SimResult` or the :class:`SimulationError` the run raised."""
-    outcome = prepared.outcome
-    if isinstance(sim, SimulationError):
+    try:
+        with telemetry.timer("faults/simulate"):
+            sim = simulate(faulted, faulted_compiled, memory,
+                           engine=sim_engine, telemetry=telemetry)
+    except SimulationError as exc:
         outcome.status = "miscompiled"
-        outcome.detail = f"simulation: {sim}"
+        outcome.detail = f"simulation: {exc}"
         return outcome
 
-    if not _outputs_match(prepared.memory, prepared.reference):
+    if not _outputs_match(memory, reference):
         outcome.status = "miscompiled"
         outcome.detail = "simulated output diverges from reference"
         return outcome
@@ -354,36 +340,6 @@ def _classify_degrade(prepared, baseline, sim):
                       if outcome.slowdown <= RECOVERED_SLOWDOWN
                       else "degraded")
     return outcome
-
-
-def degrade(baseline, faults, rng=None, sched_iters=120,
-            remap_rescue=True, telemetry=None, mode="repair",
-            sim_engine=None):
-    """Inject ``faults`` into ``baseline``'s ADG, repair, verify, and
-    re-simulate. Returns a :class:`DegradeOutcome`; never raises for a
-    fault-induced failure (that is the ``unmappable`` outcome).
-
-    ``mode="remap"`` skips the repair path entirely and recovers by
-    recompiling from scratch (requires ``remap_rescue``) — the control
-    arm for measuring what schedule repair buys under faults.
-    ``sim_engine`` picks the replay engine (``None`` = session default);
-    campaign-scale callers should prefer :func:`run_cases_batched`,
-    which simulates many prepared cases in one batch."""
-    telemetry = telemetry if telemetry is not None else Telemetry()
-    prepared = _prepare_degrade(
-        baseline, faults, rng=rng, sched_iters=sched_iters,
-        remap_rescue=remap_rescue, telemetry=telemetry, mode=mode,
-    )
-    if prepared.compiled is None:
-        return prepared.outcome
-    try:
-        with telemetry.timer("faults/simulate"):
-            sim = simulate(prepared.faulted, prepared.compiled,
-                           prepared.memory, engine=sim_engine,
-                           telemetry=telemetry)
-    except SimulationError as exc:
-        sim = exc
-    return _classify_degrade(prepared, baseline, sim)
 
 
 def run_case(case, baseline=None, sched_iters=120, remap_rescue=True,
@@ -403,59 +359,6 @@ def run_case(case, baseline=None, sched_iters=120, remap_rescue=True,
         sched_iters=sched_iters, remap_rescue=remap_rescue,
         telemetry=telemetry, sim_engine=sim_engine,
     )
-
-
-def run_cases_batched(cases, baseline=None, sched_iters=120,
-                      remap_rescue=True, telemetry=None):
-    """Run many :class:`FaultCase` specs of one workload, simulating all
-    survivors of the repair pipeline as lanes of a single
-    :func:`repro.sim.simulate_batch` call.
-
-    Outcomes are bit-identical to per-case :func:`run_case` runs — the
-    batched engine is oracle-pinned against ``stepped``, and lanes that
-    deadlock are evicted to the scalar path inside the batch engine.
-    Returns a list of :class:`DegradeOutcome`, one per case, in order."""
-    from repro.sim import BatchCase, simulate_batch
-
-    cases = list(cases)
-    if not cases:
-        return []
-    telemetry = telemetry if telemetry is not None else Telemetry()
-    baselines = {}
-    if baseline is not None:
-        baselines[baseline.workload] = baseline
-
-    prepared = []
-    for case in cases:
-        base = baselines.get(case.workload)
-        if base is None:
-            base = prepare_baseline(
-                case.workload, preset=case.preset, scale=case.scale,
-                sched_iters=sched_iters, seed=case.seed,
-            )
-            baselines[case.workload] = base
-        prepared.append((base, _prepare_degrade(
-            base, case.fault_specs(),
-            rng=DeterministicRng((case.seed, "degrade", case.index)),
-            sched_iters=sched_iters, remap_rescue=remap_rescue,
-            telemetry=telemetry,
-        )))
-
-    lanes = [(idx, base, prep) for idx, (base, prep) in enumerate(prepared)
-             if prep.compiled is not None]
-    outcomes = [prep.outcome for _, prep in prepared]
-    if lanes:
-        with telemetry.timer("faults/simulate"):
-            sims = simulate_batch(
-                None, None,
-                [BatchCase(memory=prep.memory, adg=prep.faulted,
-                           compiled=prep.compiled)
-                 for _, _, prep in lanes],
-                telemetry=telemetry,
-            )
-        for (idx, base, prep), sim in zip(lanes, sims):
-            outcomes[idx] = _classify_degrade(prep, base, sim)
-    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +465,6 @@ __all__ = [
     "replay_repro",
     "report_miscompile",
     "run_case",
-    "run_cases_batched",
     "shrink_case",
     "write_repro",
 ]

@@ -14,13 +14,8 @@ are timing-independent while throughput is resource-bound.
 Two replay engines produce bit-identical results: ``"event"`` (the
 default) skips quiet cycles and batch-fires steady-state windows;
 ``"stepped"`` advances one cycle at a time and serves as the oracle.
-:func:`simulate_batch` (:mod:`repro.sim.batched`) steps many cases of
-one structure in lock-step on structure-of-arrays state, each lane
-bit-identical to a ``stepped`` run: the columnar engine behind fault
-campaigns' ``sim_engine="batched"``.
 """
 
-from repro.sim.batched import BatchCase, simulate_batch
 from repro.sim.machine import (
     SIM_ENGINES,
     CycleSimulator,
@@ -30,9 +25,7 @@ from repro.sim.machine import (
 
 __all__ = [
     "SIM_ENGINES",
-    "BatchCase",
     "CycleSimulator",
     "SimResult",
     "simulate",
-    "simulate_batch",
 ]

@@ -70,7 +70,6 @@ RECURRENCE_LATENCY = 2
 _DEADLOCK_FACTOR = 64
 
 #: Replay engines: ``event`` skips cycles, ``stepped`` is the oracle.
-#: Many-case runs go through ``sim.batched.simulate_batch`` instead.
 SIM_ENGINES = ("event", "stepped")
 
 #: Snapshot-history size before the steady-state detector resets.
@@ -268,25 +267,6 @@ def repeated_blocks(values, first, base, size, count):
     return blocks
 
 
-def deadlock_deadline(replay, config_cycles, factor):
-    """The cycle past which ``replay`` counts as deadlocked:
-    ``config_cycles`` plus ``factor`` times its traffic (input words,
-    plus instances times II over its regions, plus a 64-cycle margin).
-    ``_Replay`` passes ``_DEADLOCK_FACTOR``; a batched lane may pass its
-    own."""
-    total_words = sum(
-        seg.words
-        for state in replay.state_list
-        for port, _lanes in state.in_ports.values()
-        for seg in port.segments
-    ) + 1
-    return config_cycles + factor * (
-        total_words
-        + sum(s.total_instances * s.ii for s in replay.state_list)
-        + 64
-    )
-
-
 class _Replay:
     """One replay of a built machine state, under either engine.
 
@@ -321,8 +301,20 @@ class _Replay:
         self.region_started = {name: False for name in states}
         self.region_finish = {}
 
-        self.deadline = deadlock_deadline(self, sim.config_cycles,
-                                          _DEADLOCK_FACTOR)
+        # Past this cycle the replay counts as deadlocked: the config
+        # cycles plus ``_DEADLOCK_FACTOR`` times the traffic (input
+        # words, instances times II, and a 64-cycle margin).
+        total_words = sum(
+            seg.words
+            for state in self.state_list
+            for port, _lanes in state.in_ports.values()
+            for seg in port.segments
+        ) + 1
+        self.deadline = sim.config_cycles + _DEADLOCK_FACTOR * (
+            total_words
+            + sum(s.total_instances * s.ii for s in self.state_list)
+            + 64
+        )
 
         # Barrier lookups, hoisted: region -> the states of every
         # barrier region that precedes it in program order (previously
@@ -359,8 +351,8 @@ class _Replay:
         return False
 
     # -- static inventories, built on first use -----------------------
-    # ``simulate_batch`` builds a ``_Replay`` per lane only for its
-    # structure, so nothing here is paid in ``__init__``.
+    # Only ``_memory_plan`` serves both engines; the rest are the event
+    # engine's probe tables, which a ``stepped`` replay never builds.
     @cached_property
     def _memory_plan(self):
         """Per memory, in round-robin order: ``(region name, input

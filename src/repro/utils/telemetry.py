@@ -7,9 +7,7 @@ evaluated, rejected, or failed. The scheduler reports its incremental-
 evaluation effectiveness as ``sched_*``/``timing_*`` counters, and the
 cycle simulator its replay-engine effectiveness as ``sim_*`` counters
 (steps executed, cycles skipped, bulk-fire events) plus ``sim/*`` phase
-timers; the batched columnar engine adds ``sim_batch_*`` counters
-(lanes, structural groups, shared lock-step cycles, bulk events, lanes
-evicted to the scalar path). The layer is deliberately small:
+timers. The layer is deliberately small:
 
 * **Timers** — ``with telemetry.timer("compile"):`` accumulates wall
   time under a name. Timers nest: opening ``"estimate"`` inside

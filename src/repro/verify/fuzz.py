@@ -16,9 +16,7 @@ to implement the same semantics:
 1. an independent pure-Python evaluation of the spec (the reference);
 2. the IR interpreter (:func:`repro.ir.interp.execute_scope`);
 3. the ``stepped`` cycle-level engine;
-4. the ``event`` cycle-skipping engine and a one-lane
-   :func:`~repro.sim.simulate_batch` run of the columnar engine (both
-   must be bit-identical to 3);
+4. the ``event`` cycle-skipping engine (bit-identical to 3);
 5. the schedule linter and the bitstream round-trip checker.
 
 Cases the scheduler cannot map on the mutated fabric are *skipped*, not
@@ -42,7 +40,7 @@ from repro.ir.dfg import Dfg
 from repro.ir.interp import execute_scope
 from repro.ir.region import ConfigScope, OffloadRegion
 from repro.isa.opcodes import OPCODES, evaluate
-from repro.sim import simulate, simulate_batch
+from repro.sim import simulate
 from repro.utils.rng import DeterministicRng
 from repro.verify.bitstream import (
     check_bitstream_roundtrip,
@@ -288,16 +286,11 @@ def run_case(case, sched_iters=150):
         )
 
     engine_results = {}
-    for engine in ("stepped", "event", "batched"):
+    for engine in ("stepped", "event"):
         memory = build_memory(case)
         try:
-            if engine == "batched":
-                (outcome,) = simulate_batch(adg, compiled, [memory])
-                if isinstance(outcome, SimulationError):
-                    raise outcome
-            else:
-                outcome = simulate(adg, compiled, memory, engine=engine)
-            engine_results[engine] = outcome
+            engine_results[engine] = simulate(adg, compiled, memory,
+                                              engine=engine)
         except (SimulationError, IrError) as exc:
             result.record(f"sim-crash-{engine}", str(exc))
             return result
@@ -308,9 +301,8 @@ def run_case(case, sched_iters=150):
                 simulated=list(memory["out"]), expected=expected,
             )
 
-    stepped = engine_results["stepped"]
-    for engine in ("event", "batched"):
-        _diff_engines(result, engine, stepped, engine_results[engine])
+    _diff_engines(result, "event", engine_results["stepped"],
+                  engine_results["event"])
     return result
 
 

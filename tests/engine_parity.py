@@ -1,19 +1,17 @@
 """Shared engine-parity helpers.
 
 Every replay engine must produce a bit-identical :class:`SimResult` to
-the ``stepped`` oracle; this module holds the one assertion both the
-engine-equivalence tests and the batched-engine tests (and the batched
-throughput benchmark) pin against. Kept out of the ``test_*`` namespace
-so pytest does not collect it as a test file.
+the ``stepped`` oracle; this module holds the one assertion the
+engine-equivalence tests pin against. Kept out of the ``test_*``
+namespace so pytest does not collect it as a test file.
 """
 
 import copy
 
 from repro.adg import topologies
 from repro.compiler import compile_kernel
-from repro.errors import SimulationError
 from repro.harness.compile_cache import cached_compile
-from repro.sim import SIM_ENGINES, simulate, simulate_batch
+from repro.sim import SIM_ENGINES, simulate
 from repro.utils.rng import DeterministicRng
 from repro.utils.telemetry import Telemetry
 from repro.workloads import kernel as make_kernel
@@ -21,8 +19,8 @@ from repro.workloads import kernel as make_kernel
 #: The single-cycle engine every other engine is pinned against.
 ORACLE = "stepped"
 
-#: The scalar engines plus ``batched``: a one-lane ``simulate_batch``.
-ENGINES = (*SIM_ENGINES, "batched")
+#: Every replay engine.
+ENGINES = SIM_ENGINES
 
 #: Workloads that need the SPU's indirect/join hardware to compile on
 #: their natural form.
@@ -57,19 +55,6 @@ def compiled_for(name, accel, scale=0.05, iters=60, depth=None,
     return adg, result
 
 
-def simulate_on(adg, compiled, memory, engine, telemetry=None):
-    """One run on ``engine``; ``batched`` raises its lane's
-    :class:`SimulationError` just as :func:`simulate` would."""
-    if engine != "batched":
-        return simulate(adg, compiled, memory, engine=engine,
-                        telemetry=telemetry)
-    (outcome,) = simulate_batch(adg, compiled, [memory],
-                                telemetry=telemetry)
-    if isinstance(outcome, SimulationError):
-        raise outcome
-    return outcome
-
-
 def sim_fields(result):
     """The :class:`SimResult` fields that must match across engines."""
     return (result.cycles, result.region_cycles, result.memory_busy,
@@ -88,8 +73,9 @@ def run_all_engines(adg, compiled, workload, engines=ENGINES):
         scope_copy = copy.deepcopy(compiled)
         scope_copy.scope.bind_constants(memory)
         telemetries[engine] = Telemetry()
-        results[engine] = simulate_on(
-            adg, scope_copy, memory, engine, telemetries[engine],
+        results[engine] = simulate(
+            adg, scope_copy, memory, engine=engine,
+            telemetry=telemetries[engine],
         )
     return results, telemetries
 

@@ -1,5 +1,5 @@
 """Multi-fidelity DSE: surrogate determinism, fidelity plumbing, and
-the fuzzer's batched-engine check.
+the fuzzer's engine check.
 
 The multi-fidelity funnel must not weaken any determinism contract the
 explorer already pins: workers=N reproduces workers=1 *with the
@@ -389,7 +389,7 @@ class TestServerFidelityKnobs:
 
 
 # ---------------------------------------------------------------------------
-# Fuzzer: the batched-engine check is load-bearing
+# Fuzzer: the event-engine check is load-bearing
 # ---------------------------------------------------------------------------
 
 class TestFuzzBatchedCampaign:
@@ -400,10 +400,10 @@ class TestFuzzBatchedCampaign:
 
         def sabotage(result, engine, stepped, other):
             original(result, engine, stepped, other)
-            if engine == "batched":
+            if engine == "event":
                 result.record("engine-divergence", "injected", injected=1)
 
-        # A divergence surfaced only by the batched comparison still
+        # A divergence surfaced only by the event comparison still
         # fails the case: the check runs on every scheduled case.
         fuzz_module._diff_engines, saved = sabotage, original
         try:

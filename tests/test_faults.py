@@ -228,6 +228,21 @@ class TestInjectedRepairBug:
 # Campaigns
 # ---------------------------------------------------------------------------
 
+class TestEngineValidation:
+    """Unknown engine names fail fast at every entry point."""
+
+    def test_campaign_rejects_unknown_engine(self):
+        with pytest.raises(ValueError, match="unknown sim engine"):
+            run_campaign(workloads=("mm",), cases=1,
+                         sim_engine="warp-speed")
+
+    def test_degrade_path_rejects_unknown_engine(self, mm_baseline):
+        case = generate_case(1, 0, workloads=("mm",), adg=mm_baseline.adg)
+        with pytest.raises(ValueError, match="unknown sim engine"):
+            run_case(case, baseline=mm_baseline, sched_iters=SCHED_ITERS,
+                     sim_engine="warp-speed")
+
+
 class TestCampaign:
     def test_small_campaign_clean_and_curves(self, tmp_path):
         telemetry = Telemetry(
@@ -269,11 +284,11 @@ class TestCampaign:
     @pytest.mark.skipif(not _HAS_FORK, reason="needs fork start method")
     @pytest.mark.parametrize("sim_engine", [None, "batched"])
     def test_workers_do_not_change_the_campaign(self, sim_engine):
-        def campaign(workers):
+        def campaign(workers, engine=sim_engine):
             telemetry = Telemetry()
             summary = run_campaign(
                 workloads=("md",), cases=4, seed=31, sched_iters=8,
-                workers=workers, sim_engine=sim_engine,
+                workers=workers, sim_engine=engine,
                 telemetry=telemetry,
             )
             assert "fault_worker_errors" not in telemetry.counters
@@ -282,7 +297,12 @@ class TestCampaign:
                 for case, outcome in summary.results
             ]
 
-        assert campaign(2) == campaign(1)
+        serial = campaign(1)
+        assert campaign(2) == serial
+        # ``"batched"`` names the retired columnar engine and runs as
+        # the default one.
+        other = None if sim_engine == "batched" else "batched"
+        assert campaign(1, other)[1] == serial[1]
 
     def test_campaign_writes_repro_on_miscompile(
         self, monkeypatch, tmp_path

@@ -1,9 +1,8 @@
 """Replay-engine equivalence: the event-driven cycle-skipping engine
-and a one-lane run of the batched columnar engine must produce
-bit-identical :class:`SimResult` fields to the stepped oracle — on every
-registry workload, on randomized (workload, ADG) combinations, and on
-the edge cases where bulk firing must fall back to stepping (barrier
-releases, depth-1 FIFO boundaries, deadlock).
+must produce bit-identical :class:`SimResult` fields to the stepped
+oracle — on every registry workload, on randomized (workload, ADG)
+combinations, and on the edge cases where bulk firing must fall back
+to stepping (barrier releases, depth-1 FIFO boundaries, deadlock).
 """
 
 import copy
@@ -25,7 +24,6 @@ from tests.engine_parity import (
     assert_engine_parity,
     compiled_for as _compiled,
     run_all_engines,
-    simulate_on,
 )
 
 class TestRegistryParity:
@@ -48,11 +46,6 @@ class TestRegistryParity:
                     + counters["sim_cycles_skipped"]
                     == results[engine].cycles)
         assert telemetries["stepped"].counters["sim_cycles_skipped"] == 0
-        counters = telemetries["batched"].counters
-        assert (counters["sim_batch_steps"]
-                + counters["sim_batch_idle_cycles_skipped"]
-                + counters["sim_batch_bulk_cycles_skipped"]
-                == results["batched"].cycles)
 
 
 class TestRandomizedParity:
@@ -82,9 +75,8 @@ class TestRandomizedParity:
             scope_copy = copy.deepcopy(compiled)
             scope_copy.scope.bind_constants(memory)
             try:
-                outcomes[engine] = simulate_on(
-                    adg, scope_copy, memory, engine,
-                )
+                outcomes[engine] = simulate(adg, scope_copy, memory,
+                                            engine=engine)
             except SimulationError as exc:
                 # Some stressed shapes genuinely deadlock the machine
                 # model (e.g. depth-1 FIFOs under a join's pop burst);
@@ -101,7 +93,7 @@ class TestRandomizedParity:
             memory = workload.make_memory()
             scope_copy = copy.deepcopy(compiled)
             scope_copy.scope.bind_constants(memory)
-            simulate_on(adg, scope_copy, memory, engine)
+            simulate(adg, scope_copy, memory, engine=engine)
             memories[engine] = memory
         for engine in ENGINES:
             for array in memories[engine]:
@@ -150,7 +142,7 @@ class TestFallbackEdgeCases:
             scope_copy = copy.deepcopy(compiled)
             scope_copy.scope.bind_constants(memory)
             with pytest.raises(SimulationError) as excinfo:
-                simulate_on(adg, scope_copy, memory, engine)
+                simulate(adg, scope_copy, memory, engine=engine)
             messages[engine] = str(excinfo.value)
         assert_engine_parity(messages)
         report = messages["event"]
@@ -171,14 +163,6 @@ class TestEngineSelection:
         compiled.scope.bind_constants(memory)
         with pytest.raises(ValueError, match="unknown sim engine"):
             simulate(adg, compiled, memory, engine="warp-speed")
-
-    def test_batched_is_not_a_simulate_engine(self):
-        """The columnar engine runs only through ``simulate_batch``."""
-        adg, compiled = _compiled("pool", "softbrain")
-        memory = make_kernel("pool", 0.05).make_memory()
-        compiled.scope.bind_constants(memory)
-        with pytest.raises(ValueError, match="unknown sim engine"):
-            simulate(adg, compiled, memory, engine="batched")
 
     def test_event_engine_skips_cycles(self):
         """The point of the rewrite: on a long steady-state workload the

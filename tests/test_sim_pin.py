@@ -23,7 +23,7 @@ import copy
 import hashlib
 
 from repro.errors import SimulationError
-from repro.sim import SIM_ENGINES
+from repro.sim import SIM_ENGINES, simulate
 from repro.utils.telemetry import Telemetry
 from repro.workloads import kernel as make_kernel
 from repro.workloads.registry import workload_names
@@ -31,7 +31,6 @@ from tests.engine_parity import (
     SPU_ONLY,
     compiled_for,
     sim_fields,
-    simulate_on,
 )
 
 SCALE = 0.05
@@ -87,7 +86,8 @@ def case_facts(name, scale, depth, banks):
         bound.scope.bind_constants(memory)
         telemetry = Telemetry()
         try:
-            result = simulate_on(adg, bound, memory, engine, telemetry)
+            result = simulate(adg, bound, memory, engine=engine,
+                              telemetry=telemetry)
         except SimulationError as exc:
             facts.append((engine, str(exc)))
             continue
