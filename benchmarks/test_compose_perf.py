@@ -10,32 +10,25 @@ the PR's two claims:
 * **determinism** — ``workers=4`` reproduces the ``workers=1`` rows,
   per-budget scores, and strategy scoreboard bit-for-bit.
 
-Set ``REPRO_COMPOSE_TELEMETRY_OUT`` to keep the parallel run's JSONL
-log (the CI compose-smoke job uploads it as an artifact).
+The parallel run's JSONL log is read back and checked too.
 """
 
 import json
-import os
 
 from conftest import run_once
 
 from repro.harness import figcompose
 from repro.harness.report import format_table
 
-WORKLOADS = tuple(os.environ.get(
-    "REPRO_COMPOSE_WORKLOADS", "conv,pool,classifier"
-).split(","))
-SCALE = float(os.environ.get("REPRO_COMPOSE_SCALE", "0.05"))
-ITERS = int(os.environ.get("REPRO_COMPOSE_ITERS", "2"))
-SCHED_ITERS = int(os.environ.get("REPRO_COMPOSE_SCHED_ITERS", "30"))
+WORKLOADS = ("conv", "pool", "classifier")
+SCALE = 0.05
+ITERS = 2
+SCHED_ITERS = 30
 SEED = 0
 
 
 def test_composition_wins_and_is_deterministic(benchmark, tmp_path):
-    out = os.environ.get(
-        "REPRO_COMPOSE_TELEMETRY_OUT",
-        str(tmp_path / "compose.jsonl"),
-    )
+    out = str(tmp_path / "compose.jsonl")
     kwargs = dict(
         workloads=WORKLOADS, scale=SCALE, compose_iters=ITERS,
         sched_iters=SCHED_ITERS, seed=SEED,

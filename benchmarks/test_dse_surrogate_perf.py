@@ -12,33 +12,25 @@ land in the JSONL run log).
 
 Both runs are seed-deterministic, so the objective comparison is exact
 rather than statistical; only the wall-clock ratio is a measurement.
-
-Set ``REPRO_DSE_SURROGATE_TELEMETRY_OUT`` to keep the multi run's JSONL
-log (the CI dse-surrogate job uploads it as an artifact).
 """
 
 import json
-import os
 
 from conftest import run_once
 
 from repro.harness import fig14
 
 SETS = {"machsuite": ("mm", "md")}
-SCALE = float(os.environ.get("REPRO_DSE_SURROGATE_SCALE", "0.05"))
-ITERS = int(os.environ.get("REPRO_DSE_SURROGATE_ITERS", "6"))
-SCHED_ITERS = int(os.environ.get("REPRO_DSE_SURROGATE_SCHED_ITERS",
-                                 "40"))
+SCALE = 0.05
+ITERS = 6
+SCHED_ITERS = 40
 BATCH = 3
 RECALIBRATE_EVERY = 8
 SEED = 0
 
 
 def test_multi_fidelity_throughput(benchmark, tmp_path):
-    out = os.environ.get(
-        "REPRO_DSE_SURROGATE_TELEMETRY_OUT",
-        str(tmp_path / "dse-surrogate.jsonl"),
-    )
+    out = str(tmp_path / "dse-surrogate.jsonl")
     kwargs = dict(
         workload_sets=SETS, scale=SCALE, dse_iters=ITERS,
         sched_iters=SCHED_ITERS, seed=SEED, batch=BATCH,

@@ -5,25 +5,16 @@ pins the headline robustness guarantee: at least 80% of single-fault
 cases recover or degrade (the schedule-repair path finds a working
 remapping), and **no** case ever miscompiles — a fault may honestly
 defeat the mapper, but it must never produce silently wrong output.
-
-Set ``REPRO_FAULT_CASES`` / ``REPRO_FAULT_WORKLOADS`` to widen the
-sweep toward the full registry.
 """
 
 import json
-import os
 
 from conftest import SCHED_ITERS, run_once
 
 from repro.faults import run_campaign
-from repro.utils.telemetry import Telemetry
 
-CASES = int(os.environ.get("REPRO_FAULT_CASES", "15"))
-WORKLOADS = tuple(
-    os.environ.get(
-        "REPRO_FAULT_WORKLOADS", "mm,md,join,conv,histogram"
-    ).split(",")
-)
+CASES = 15
+WORKLOADS = ("mm", "md", "join", "conv", "histogram")
 SEED = 2026
 
 #: The pinned floor: single faults must be survivable this often.
@@ -31,19 +22,14 @@ RECOVERY_FLOOR = 0.80
 
 
 def test_single_fault_degradation(benchmark):
-    telemetry_out = os.environ.get("REPRO_FAULT_TELEMETRY_OUT")
-    telemetry = Telemetry(jsonl_path=telemetry_out)
-
-    with telemetry:
-        summary = run_once(
-            benchmark, run_campaign,
-            workloads=WORKLOADS,
-            cases=CASES,
-            seed=SEED,
-            max_faults=1,
-            sched_iters=SCHED_ITERS,
-            telemetry=telemetry,
-        )
+    summary = run_once(
+        benchmark, run_campaign,
+        workloads=WORKLOADS,
+        cases=CASES,
+        seed=SEED,
+        max_faults=1,
+        sched_iters=SCHED_ITERS,
+    )
 
     counts = summary.counts
     survivable = counts.get("recovered", 0) + counts.get("degraded", 0)

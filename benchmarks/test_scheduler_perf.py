@@ -6,14 +6,11 @@ the scheduler's own telemetry counters — that the incremental
 bookkeeping performs at least 3x fewer from-scratch recomputations than
 the pre-incremental evaluator, which re-derived every utilization table
 (pe_load, port_load, link_load, link_values, per-PE issue cost, route
-length) and re-timed every region on each objective evaluation.
-
-Set ``REPRO_SCHED_TELEMETRY_OUT`` to also write the counter snapshot as
-a JSONL run log (the CI smoke job uploads it as an artifact).
+length) and re-timed every region on each objective evaluation. The
+counter snapshot is also written as a JSONL run log and read back.
 """
 
 import json
-import os
 
 from conftest import run_once
 
@@ -29,7 +26,7 @@ from repro.utils.telemetry import Telemetry
 #: issue cost, route length); regions re-timed per evaluation add R more.
 TABLES_PER_EVAL = 6
 
-ITERS = int(os.environ.get("REPRO_SCHED_PERF_ITERS", "200"))
+ITERS = 200
 
 
 def _dot_region(name, unroll):
@@ -97,10 +94,8 @@ def test_scheduler_incremental_recompute_ratio(benchmark, tmp_path):
     assert old_world >= 3 * new_world
     assert counters.get("timing_region_cache_hits", 0) > 0
 
-    # Counter snapshot as a JSONL run log (CI parses and archives it).
-    out = os.environ.get(
-        "REPRO_SCHED_TELEMETRY_OUT", str(tmp_path / "scheduler-perf.jsonl")
-    )
+    # Counter snapshot as a JSONL run log, read back.
+    out = str(tmp_path / "scheduler-perf.jsonl")
     with Telemetry(jsonl_path=out) as log:
         log.event({"type": "scheduler_perf", "iterations": ITERS,
                    "regions": regions, "counters": dict(counters)})

@@ -17,23 +17,17 @@ Pinned acceptance:
   journal (at most one ``cached: false`` finish per job key);
 * every artifact digest **bit-identical** to the fault-free baseline —
   chaos must change nothing about what the service computes.
-
-Environment knobs: ``REPRO_CHAOS_REQUESTS`` (default 200),
-``REPRO_CHAOS_SEED`` (default 2026), ``REPRO_CHAOS_FAULT_RATE``
-(default 0.3), and ``REPRO_SERVER_TELEMETRY_OUT`` for a JSONL run log.
 """
 
 import json
-import os
 
 from conftest import run_once
 
 from repro.server.chaos import ChaosSpec, run_chaos_with_baseline
-from repro.utils.telemetry import Telemetry
 
-REQUESTS = int(os.environ.get("REPRO_CHAOS_REQUESTS", "200"))
-SEED = int(os.environ.get("REPRO_CHAOS_SEED", "2026"))
-FAULT_RATE = float(os.environ.get("REPRO_CHAOS_FAULT_RATE", "0.3"))
+REQUESTS = 200
+SEED = 2026
+FAULT_RATE = 0.3
 MIN_OBSERVED_FAULT_RATE = 0.20
 
 
@@ -52,17 +46,10 @@ def test_chaos_campaign_completes_bit_identically(benchmark, tmp_path):
         backoff_base=0.02,
         backoff_cap=0.5,
     )
-    telemetry_out = os.environ.get("REPRO_SERVER_TELEMETRY_OUT")
-    telemetry = Telemetry(jsonl_path=telemetry_out) \
-        if telemetry_out else None
-    try:
-        out = run_once(
-            benchmark, run_chaos_with_baseline,
-            spec=spec, workdir=str(tmp_path), telemetry=telemetry,
-        )
-    finally:
-        if telemetry is not None:
-            telemetry.close()
+    out = run_once(
+        benchmark, run_chaos_with_baseline,
+        spec=spec, workdir=str(tmp_path),
+    )
 
     chaos = out["chaos"]
     baseline = out["baseline"]

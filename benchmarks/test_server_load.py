@@ -5,8 +5,7 @@ few hundred mixed compile/simulate requests whose distribution is
 heavily skewed toward repeats — the service's production shape, where a
 handful of (ADG, kernel, seed) triples dominate the request stream.
 
-Reported (and written as a JSONL run log when
-``REPRO_SERVER_TELEMETRY_OUT`` is set):
+Reported (and written as a JSONL run log that is read back):
 
 * cold latency — mean seconds to fill the store with the unique
   requests (real compiles);
@@ -41,9 +40,9 @@ from repro.workloads import kernel as make_kernel
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-REQUESTS = int(os.environ.get("REPRO_SERVER_LOAD_REQUESTS", "300"))
+REQUESTS = 300
 SCALE = 0.05
-SCHED_ITERS = int(os.environ.get("REPRO_SERVER_LOAD_ITERS", "60"))
+SCHED_ITERS = 60
 SEED = 2026
 MIN_SPEEDUP = 5.0
 
@@ -114,7 +113,6 @@ def test_server_load_warm_replay_speedup(benchmark, tmp_path):
     specs = _unique_specs()
     store_root = str(tmp_path / "store")
     proc, address = _start_server(store_root)
-    telemetry_out = os.environ.get("REPRO_SERVER_TELEMETRY_OUT")
     try:
         with ServerClient(*address) as client:
             # -- cold pass: every unique request is a real compile.
@@ -161,12 +159,16 @@ def test_server_load_warm_replay_speedup(benchmark, tmp_path):
         "store": stats["store"],
     }
     print(f"\nserver load: {json.dumps(report, indent=2)}")
-    if telemetry_out:
-        with Telemetry(jsonl_path=telemetry_out) as telemetry:
-            for index, latency in enumerate(latencies):
-                telemetry.event({"type": "request", "index": index,
-                                 "seconds": latency})
-            telemetry.event({"type": "summary", **report})
+    out = str(tmp_path / "server-load.jsonl")
+    with Telemetry(jsonl_path=out) as telemetry:
+        for index, latency in enumerate(latencies):
+            telemetry.event({"type": "request", "index": index,
+                             "seconds": latency})
+        telemetry.event({"type": "summary", **report})
+    with open(out) as handle:
+        records = [json.loads(line) for line in handle]
+    assert records[-1] == {"type": "summary", **report}
+    assert sum(r["type"] == "request" for r in records) == REQUESTS
 
     # -- bit-identicality: the artifact served for the hottest compile
     # request matches a direct in-process compile of the same inputs.
@@ -181,6 +183,9 @@ def test_server_load_warm_replay_speedup(benchmark, tmp_path):
     assert digests[0] == artifact_digest(direct)
 
     # -- pinned acceptance.
+    assert len(latencies) == REQUESTS
     assert hit_rate >= 0.95, f"warm replay should hit: {report}"
+    # Hits answered from memory still count as store hits.
+    assert stats["store"]["hits"] >= round(hit_rate * REQUESTS), report
     assert speedup >= MIN_SPEEDUP, \
         f"warm replay only {speedup:.1f}x faster than cold: {report}"

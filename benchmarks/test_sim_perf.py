@@ -3,14 +3,11 @@
 Simulates a fixed slice of the Figure 10 workload set with both replay
 engines and checks — via the simulator's own ``sim_*`` telemetry — that
 the event engine executes at least 5x fewer cycle-steps than the
-stepped oracle while producing bit-identical results.
-
-Set ``REPRO_SIM_TELEMETRY_OUT`` to also write the counter snapshot as a
-JSONL run log (the CI smoke job uploads it as an artifact).
+stepped oracle while producing bit-identical results. The counter
+snapshot is also written as a JSONL run log and read back.
 """
 
 import json
-import os
 
 from conftest import SCALE, run_once
 
@@ -27,7 +24,7 @@ from repro.workloads import kernel as make_kernel
 #: its time.
 WORKLOADS = ("mm", "histogram", "pb_2mm", "pb_3mm", "fft", "stencil2d")
 
-SCHED_ITERS = int(os.environ.get("REPRO_SIM_PERF_ITERS", "80"))
+SCHED_ITERS = 80
 
 
 def _compile_set():
@@ -97,10 +94,8 @@ def test_event_engine_step_reduction(benchmark, tmp_path):
     assert stepped_steps >= 5 * event_steps
     assert telemetries["event"].counters["sim_bulk_fire_events"] > 0
 
-    # Counter snapshot as a JSONL run log (CI parses and archives it).
-    out = os.environ.get(
-        "REPRO_SIM_TELEMETRY_OUT", str(tmp_path / "sim-perf.jsonl")
-    )
+    # Counter snapshot as a JSONL run log, read back.
+    out = str(tmp_path / "sim-perf.jsonl")
     with Telemetry(jsonl_path=out) as log:
         log.event({
             "type": "sim_perf",

@@ -10,11 +10,11 @@ result can be memoized on a structural fingerprint.
 
 Three layers of sharing:
 
-* An in-process **bounded LRU** memo (``configure(max_entries=...)``;
-  default :data:`DEFAULT_MAX_ENTRIES`). Long campaigns and served
-  processes touch an unbounded stream of distinct compiles, so the memo
-  evicts least-recently-used entries instead of leaking every result
-  forever. Evictions are counted in :func:`stats`.
+* An in-process **bounded LRU** memo of :data:`MAX_ENTRIES` entries.
+  Long campaigns and served processes touch an unbounded stream of
+  distinct compiles, so the memo evicts least-recently-used entries
+  instead of leaking every result forever. Evictions are counted in
+  :func:`stats`.
 * An optional **persistent store** (:class:`repro.server.ArtifactStore`)
   attached with :func:`attach_store`. Memo misses fall through to the
   store, and fresh compiles are written back, so harnesses and the job
@@ -35,13 +35,12 @@ from collections import OrderedDict
 from repro.adg.serialize import adg_to_dict
 from repro.utils.fingerprint import canonical_dumps
 
-#: Default bound on the in-process memo. Entries are whole
-#: ``CompiledKernel`` objects, so the bound is entry-count based; a
-#: served process that needs more shares through the artifact store.
-DEFAULT_MAX_ENTRIES = 128
+#: Bound on the in-process memo. Entries are whole ``CompiledKernel``
+#: objects, so the bound is entry-count based; a served process that
+#: needs more shares through the artifact store.
+MAX_ENTRIES = 128
 
 _cache = OrderedDict()
-_max_entries = DEFAULT_MAX_ENTRIES
 _hits = 0
 _misses = 0
 _evictions = 0
@@ -66,15 +65,6 @@ def memo_key(adg, cache_key):
     return canonical_dumps(
         ["compile-memo", 1, adg_fingerprint(adg), list(cache_key)]
     )
-
-
-def configure(max_entries=DEFAULT_MAX_ENTRIES):
-    """Re-bound the in-process memo (trims immediately if shrinking)."""
-    global _max_entries
-    if max_entries is not None and max_entries < 1:
-        raise ValueError("max_entries must be >= 1 (or None)")
-    _max_entries = max_entries
-    _trim()
 
 
 def attach_store(store):
@@ -108,7 +98,7 @@ def _maybe_attach_env_store():
 
 def _trim():
     global _evictions
-    while _max_entries is not None and len(_cache) > _max_entries:
+    while len(_cache) > MAX_ENTRIES:
         _cache.popitem(last=False)
         _evictions += 1
 
@@ -154,7 +144,7 @@ def cached_compile(adg, cache_key, factory, telemetry=None):
 def stats():
     return {
         "entries": len(_cache),
-        "max_entries": _max_entries,
+        "max_entries": MAX_ENTRIES,
         "hits": _hits,
         "misses": _misses,
         "evictions": _evictions,

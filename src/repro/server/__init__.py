@@ -23,8 +23,8 @@ a job type on one substrate:
   JSON-lines client (idempotent retries, capped backoff with seeded
   jitter, per-op deadlines, circuit breaker).
 * :mod:`repro.server.chaos` — deterministic fault injection for the
-  whole stack: :class:`ChaosTransport`, the asyncio chaos proxy, and
-  the ``repro chaos`` campaign driver.
+  whole stack: :class:`ChaosTransport` and the ``repro chaos``
+  campaign driver.
 
 CLI: ``repro serve`` runs a server; ``repro submit`` sends one job;
 ``repro chaos`` runs a replayable failure-injection campaign;
@@ -33,7 +33,6 @@ CLI: ``repro serve`` runs a server; ``repro submit`` sends one job;
 
 from repro.server.chaos import (
     CHAOS_KINDS,
-    ChaosProxy,
     ChaosSpec,
     ChaosTransport,
     chaos_decision,
@@ -70,7 +69,6 @@ __all__ = [
     "BackgroundServer",
     "CACHEABLE_KINDS",
     "CHAOS_KINDS",
-    "ChaosProxy",
     "ChaosSpec",
     "ChaosTransport",
     "CircuitBreaker",

@@ -5,7 +5,7 @@ every fault is drawn as a **pure function of ``(seed, op_index)``** —
 no wall-clock, no OS entropy — so any chaos failure replays exactly
 from its spec.
 
-Three layers:
+Two layers:
 
 :class:`ChaosTransport`
     A drop-in wrapper around the client's transport that injects
@@ -15,10 +15,6 @@ Three layers:
     :class:`~repro.errors.TransportError`, which the hardened
     :class:`~repro.server.client.ServerClient` absorbs through nonce
     idempotent retries.
-:class:`ChaosProxy` / :class:`BackgroundProxy`
-    An asyncio TCP proxy for the *real* socket path: refuses,
-    cuts, or delays whole connections as a pure function of
-    ``(seed, connection_index)`` while piping the rest through.
 :func:`run_chaos`
     The campaign driver behind ``repro chaos``: a real ``repro serve``
     subprocess, a repeat-skewed mixed workload, optional deterministic
@@ -52,8 +48,6 @@ from repro.server.store import ArtifactStore
 
 __all__ = [
     "CHAOS_KINDS",
-    "BackgroundProxy",
-    "ChaosProxy",
     "ChaosSpec",
     "ChaosTransport",
     "build_requests",
@@ -186,175 +180,6 @@ class ChaosTransport:
     def close(self):
         self._pending_disconnect = None
         self.inner.close()
-
-
-class ChaosProxy:
-    """Asyncio TCP chaos proxy: per-connection fault drawn pure in
-    ``(seed, connection_index)`` — ``refuse`` (close on accept),
-    ``cut`` (forward a byte prefix then drop both sides), ``delay``
-    (then pipe through), or clean pass-through."""
-
-    KINDS = ("refuse", "cut", "delay")
-
-    def __init__(self, upstream, seed=0, fault_rate=0.25,
-                 host="127.0.0.1", port=0):
-        self.upstream = tuple(upstream)
-        self.seed = seed
-        self.fault_rate = float(fault_rate)
-        self._host = host
-        self._port = port
-        self.address = None
-        self.connections = 0
-        self.injected = []
-        self._server = None
-        self._tasks = set()
-
-    def decision(self, index):
-        return chaos_decision(self.seed, index, self.fault_rate,
-                              kinds=self.KINDS)
-
-    async def start(self):
-        import asyncio
-
-        self._server = await asyncio.start_server(
-            self._handle, self._host, self._port
-        )
-        self.address = self._server.sockets[0].getsockname()[:2]
-        return self.address
-
-    async def stop(self):
-        import asyncio
-
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for task in list(self._tasks):
-            task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks,
-                                 return_exceptions=True)
-
-    async def _handle(self, reader, writer):
-        import asyncio
-
-        self._tasks.add(asyncio.current_task())
-        try:
-            await self._handle_inner(reader, writer)
-        except asyncio.CancelledError:
-            pass        # proxy shutdown cancels in-flight pipes
-        finally:
-            self._tasks.discard(asyncio.current_task())
-
-    async def _handle_inner(self, reader, writer):
-        import asyncio
-
-        index = self.connections
-        self.connections += 1
-        kind = self.decision(index)
-        if kind is not None:
-            self.injected.append((index, kind))
-        if kind == "refuse":
-            await self._shut(writer)
-            return
-        if kind == "delay":
-            await asyncio.sleep(chaos_delay(self.seed, index))
-        try:
-            up_reader, up_writer = await asyncio.open_connection(
-                *self.upstream
-            )
-        except OSError:
-            await self._shut(writer)
-            return
-        try:
-            if kind == "cut":
-                data = await reader.read(64)
-                if data:
-                    up_writer.write(data[: max(1, len(data) // 2)])
-                    await up_writer.drain()
-                return
-            await asyncio.gather(
-                self._pipe(reader, up_writer),
-                self._pipe(up_reader, writer),
-                return_exceptions=True,
-            )
-        finally:
-            await self._shut(up_writer)
-            await self._shut(writer)
-
-    @staticmethod
-    async def _pipe(reader, writer):
-        try:
-            while True:
-                chunk = await reader.read(4096)
-                if not chunk:
-                    break
-                writer.write(chunk)
-                await writer.drain()
-        except (ConnectionResetError, OSError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    @staticmethod
-    async def _shut(writer):
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except Exception:
-            pass
-
-
-class BackgroundProxy:
-    """A :class:`ChaosProxy` on a daemon thread (test harness)."""
-
-    def __init__(self, upstream, seed=0, fault_rate=0.25):
-        import asyncio
-        import threading
-
-        self.proxy = ChaosProxy(upstream, seed=seed,
-                                fault_rate=fault_rate)
-        self.address = None
-        self._started = threading.Event()
-        self._loop = None
-        self._stop = None
-
-        def _run():
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-
-            async def main():
-                self._stop = asyncio.Event()
-                self.address = await self.proxy.start()
-                self._started.set()
-                await self._stop.wait()
-                await self.proxy.stop()
-
-            loop.run_until_complete(main())
-            loop.close()
-
-        self._thread = threading.Thread(
-            target=_run, name="repro-chaos-proxy", daemon=True
-        )
-        self._thread.start()
-        self._started.wait(timeout=10)
-        if self.address is None:
-            raise RuntimeError("chaos proxy failed to start")
-
-    def stop(self, timeout=10):
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.stop()
-        return False
 
 
 # -- campaign ----------------------------------------------------------

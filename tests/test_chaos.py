@@ -1,7 +1,7 @@
 """Chaos-harness tests: decision purity, the fault-injecting transport
 against a live journaled server, the nonce-idempotency regression for
-the unsafe-retry bug, the connection-level proxy, and a miniature
-end-to-end campaign with a real ``kill -9``."""
+the unsafe-retry bug, and a miniature end-to-end campaign with a real
+``kill -9``."""
 
 import collections
 import os
@@ -11,7 +11,6 @@ import pytest
 from repro.server import BackgroundServer, JobSpec, ServerClient
 from repro.server.chaos import (
     CHAOS_KINDS,
-    BackgroundProxy,
     ChaosSpec,
     ChaosTransport,
     build_requests,
@@ -142,25 +141,6 @@ class TestNonceIdempotency:
                 assert done["ok"]
                 counters = client.stats()["counters"]
                 assert counters["server_enqueued"] == 1
-
-
-class TestChaosProxy:
-    def test_connection_faults_absorbed_by_retries(self, tmp_path):
-        with BackgroundServer(str(tmp_path / "s"), workers=0) as bg:
-            with BackgroundProxy(bg.address, seed=5,
-                                 fault_rate=0.5) as proxy:
-                client = _client(proxy.address, timeout=5.0)
-                for i in range(10):
-                    record = client.run(JobSpec(
-                        kind="noop", options={"tag": f"p{i}"}
-                    ))
-                    assert record["ok"], record
-                    # Force a fresh proxied connection per request so
-                    # the per-connection fault draw gets exercised.
-                    client.transport.close()
-                assert proxy.proxy.connections >= 10
-                assert len(proxy.proxy.injected) >= 2
-                client.close()
 
 
 class TestSpecPlumbing:

@@ -45,14 +45,12 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.fixture(autouse=True)
 def _fresh_memo():
-    """Every test starts with a cold, default-bounded, store-less memo."""
+    """Every test starts with a cold, store-less memo."""
     compile_cache.clear()
     compile_cache.attach_store(None)
-    compile_cache.configure(compile_cache.DEFAULT_MAX_ENTRIES)
     yield
     compile_cache.clear()
     compile_cache.attach_store(None)
-    compile_cache.configure(compile_cache.DEFAULT_MAX_ENTRIES)
 
 
 # ---------------------------------------------------------------------
@@ -126,9 +124,9 @@ class TestCanonicalFingerprint:
 # Bounded compile memo
 # ---------------------------------------------------------------------
 class TestBoundedMemo:
-    def test_lru_eviction_and_counters(self):
+    def test_lru_eviction_and_counters(self, monkeypatch):
         adg = topologies.PRESETS["softbrain"]()
-        compile_cache.configure(max_entries=2)
+        monkeypatch.setattr(compile_cache, "MAX_ENTRIES", 2)
         calls = []
 
         def factory(tag):
