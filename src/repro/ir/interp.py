@@ -214,6 +214,20 @@ class _PortReader:
             self._limit = 0
         raise IrError(f"{self._context}: port under-run (stream exhausted)")
 
+    def take(self, count):
+        """``[self.pop() for _ in range(count)]``, one list slice per
+        materialized segment."""
+        words = []
+        while len(words) < count:
+            cursor = self._cursor
+            if cursor < self._limit:
+                stop = min(self._limit, cursor + count - len(words))
+                words += self._active[cursor:stop]
+                self._cursor = stop
+            else:
+                words.append(self.pop())
+        return words
+
     def remaining(self):
         total = 0
         for position in range(self._index, len(self._streams)):
@@ -236,21 +250,23 @@ class _OutputRouter:
 
     Each segment is bound once to a ``handler(position, value)`` that
     delivers the segment's ``position``-th word; update segments bind
-    their ``update_op`` semantics.
+    their ``update_op`` semantics. Store and plain update segments also
+    keep ``(array, addresses, fn)`` (``fn`` None for a store), which
+    :meth:`push_all` runs as one loop.
     """
 
     def __init__(self, port, streams, memory, recurrence_fifos, context):
         self._port = port
         self._memory = memory
         self._context = context
-        self._segments = []  # (stream or None, words, handler)
+        self._segments = []  # (stream or None, words, handler, store)
         for stream in streams:
             if isinstance(stream, RecurrenceStream):
                 queue = recurrence_fifos.setdefault(
                     stream.source_port or port, _RecurrenceQueue()
                 )
                 self._segments.append(
-                    (None, stream.length, self._forwarder(queue))
+                    (None, stream.length, self._forwarder(queue), None)
                 )
             elif isinstance(stream, UpdateStream):
                 fn = semantics(stream.update_op)
@@ -258,25 +274,28 @@ class _OutputRouter:
                     # The fabric emits (address, value) pairs.
                     self._segments.append(
                         (stream, 2 * stream.pair_count,
-                         self._paired_updater(stream.array, fn))
+                         self._paired_updater(stream.array, fn), None)
                     )
                 else:
                     addresses = self._indirect_addresses(stream)
                     self._segments.append(
                         (stream, len(addresses),
-                         self._updater(stream.array, addresses, fn))
+                         self._updater(stream.array, addresses, fn),
+                         (stream.array, addresses, fn))
                     )
             elif isinstance(stream, IndirectStream):
                 addresses = self._indirect_addresses(stream)
                 self._segments.append(
                     (stream, len(addresses),
-                     self._writer(stream.array, addresses))
+                     self._writer(stream.array, addresses),
+                     (stream.array, addresses, None))
                 )
             elif isinstance(stream, LinearStream):
                 addresses = list(stream.addresses())
                 self._segments.append(
                     (stream, len(addresses),
-                     self._writer(stream.array, addresses))
+                     self._writer(stream.array, addresses),
+                     (stream.array, addresses, None))
                 )
             else:
                 raise IrError(
@@ -331,26 +350,76 @@ class _OutputRouter:
 
     def _enter_segment(self):
         if self._segment_index < len(self._segments):
-            _stream, self._words, self._handler = (
+            _stream, self._words, self._handler, _store = (
                 self._segments[self._segment_index]
             )
         else:
             self._words, self._handler = 0, None
 
+    def _next_segment(self):
+        """Move past a full segment; raise when none is left."""
+        if self._segment_index >= len(self._segments):
+            raise IrError(
+                f"{self._context}: output port {self._port!r} produced "
+                "more words than its streams consume"
+            )
+        self._segment_index += 1
+        self._segment_cursor = 0
+        self._enter_segment()
+
     def push(self, value):
         """Deliver one produced word to the current segment."""
         position = self._segment_cursor
         while position >= self._words:
-            if self._segment_index >= len(self._segments):
-                raise IrError(
-                    f"{self._context}: output port {self._port!r} produced "
-                    "more words than its streams consume"
-                )
-            self._segment_index += 1
-            self._segment_cursor = position = 0
-            self._enter_segment()
+            self._next_segment()
+            position = 0
         self._segment_cursor = position + 1
         self._handler(position, value)
+
+    def push_all(self, values):
+        """``for value in values: self.push(value)``, a segment at a time.
+
+        A store or plain update segment takes its share of ``values`` in
+        one loop with :func:`_store`'s ``int()``, bounds check and error
+        text, applying each update in order; other segments call their
+        handler per word. If a word raises, only the words before it
+        count as pushed, so :meth:`pushed` is the failing word's index.
+        """
+        done, total = 0, len(values)
+        while done < total:
+            while self._segment_cursor >= self._words:
+                self._next_segment()
+            position = start = self._segment_cursor
+            stop = done + min(total - done, self._words - position)
+            store = self._segments[self._segment_index][3]
+            try:
+                if store is None:
+                    handler = self._handler
+                    for value in values[done:stop]:
+                        handler(position, value)
+                        position += 1
+                else:
+                    array, addresses, fn = store
+                    data = _array(self._memory, array, self._context)
+                    size = len(data)
+                    for value in values[done:stop]:
+                        index = int(addresses[position])
+                        if index < 0 or index >= size:
+                            raise _out_of_range(index, array, data,
+                                                self._context)
+                        if fn is not None:
+                            value = fn(data[index], value)
+                        data[index] = value
+                        position += 1
+            finally:
+                self._segment_cursor = position
+            done += position - start
+
+    def pushed(self):
+        """Words delivered so far."""
+        return self._segment_cursor + sum(
+            segment[1] for segment in self._segments[:self._segment_index]
+        )
 
     def finish(self):
         """Assert every stream segment was fully fed.
@@ -359,14 +428,12 @@ class _OutputRouter:
         survivor count is data-dependent, e.g. resparsification) may be
         underfed.
         """
-        consumed = self._segment_cursor
-        for index in range(self._segment_index):
-            consumed += self._segments[index][1]
+        consumed = self.pushed()
         expected = sum(segment[1] for segment in self._segments)
         if consumed != expected:
             compacting = any(
-                getattr(stream, "compacting", False)
-                for stream, _words, _handler in self._segments
+                getattr(segment[0], "compacting", False)
+                for segment in self._segments
             )
             if not compacting or consumed > expected:
                 raise IrError(
@@ -428,12 +495,63 @@ class _DfgEvaluator:
             )
         self.output_names = list(outputs)
         self._outputs = list(outputs.values())
+        self.columnar = self._straight_line(dfg)
         self.state = {
             node.node_id: node.init
             for node in dfg.instructions()
             if node.reduction
         }
         self.fired = {node_id: 0 for node_id in self.state}
+
+    def _straight_line(self, dfg):
+        """Whether :meth:`run_columns` computes what :meth:`run_instance`
+        would: no reduction or predicate, no None constant and one input
+        node per name (``Region.validate`` keeps every operand lane in
+        range). No value is then None, so every instance emits every
+        output ref."""
+        names = [name for _slot, name in self._inputs]
+        return (
+            len(set(names)) == len(names)
+            and all(node.value is not None
+                    for node in dfg.nodes(NodeKind.CONST))
+            and all(predicate is None and mode in (_PLAIN, _SELECT)
+                    for _slot, _node, _refs, predicate, _fn, mode
+                    in self._instrs)
+        )
+
+    def run_columns(self, input_words, count):
+        """Fire ``count`` instances at once (only when :attr:`columnar`).
+
+        ``input_words`` maps input-node names to the ``count * lanes``
+        words they pop, none of them None. Returns per name of
+        :attr:`output_names` one column per output ref. Computes with
+        the same bound semantics as :meth:`run_instance` and touches
+        nothing else, so a raise leaves the instances to be re-run.
+        """
+        values = [
+            None if lanes is None else [lanes * count]
+            for lanes in self._template
+        ]
+        for slot, name in self._inputs:
+            words = input_words[name]
+            lanes = len(words) // count
+            values[slot] = (
+                [words] if lanes == 1
+                else [words[lane::lanes] for lane in range(lanes)]
+            )
+        for slot, _node, refs, _predicate, fn, mode in self._instrs:
+            operands = [values[src][lane] for src, lane in refs]
+            if mode == _PLAIN:
+                values[slot] = [list(map(fn, *operands))]
+            else:
+                pred, if_true, if_false = operands
+                values[slot] = [[
+                    a if p else b for p, a, b in zip(pred, if_true, if_false)
+                ]]
+        return [
+            [values[src][lane] for src, lane in refs]
+            for refs in self._outputs
+        ]
 
     def run_instance(self, input_vectors):
         """Fire one instance.
@@ -601,6 +719,115 @@ def _run_join(region, readers, pop_trace=None):
     return instances
 
 
+def _phase_starts(region, count):
+    """``0``, ``count`` and every instance during which an input port
+    starts a new stream segment, sorted."""
+    starts = {0, count}
+    for node in region.dfg.inputs():
+        offset = 0
+        for stream in _as_stream_list(region.input_streams[node.name]):
+            offset += stream.volume()
+            starts.add(min(offset // node.lanes, count))
+    return sorted(starts)
+
+
+def _run_phases(region, evaluator, readers, routers, produced, record,
+                flush_instance_output):
+    """Run a region without join or recurrence whose DFG is
+    :attr:`_DfgEvaluator.columnar`, a phase at a time.
+
+    A port materializes a segment when its first word is popped: after
+    the writes of every earlier instance, before any of its own. Cut at
+    the instances where a segment starts, a phase reads nothing its own
+    instances write. Each phase takes its input words, computes every
+    instruction as one column and delivers the output words in the
+    order the instance loop would. A phase whose inputs hold a None or
+    whose columns raise re-runs instance by instance on the words it
+    took, which reproduces the loop's error and memory.
+    """
+    inputs = [
+        (node.name, readers[node.name].take, node.lanes)
+        for node in region.dfg.inputs()
+    ]
+    ports = [
+        (produced[port], routers[port],
+         None if record is None else record["emitted"][port])
+        for port in evaluator.output_names
+    ]
+    starts = _phase_starts(region, region.instance_count())
+    for start, stop in zip(starts, starts[1:]):
+        count = stop - start
+        taken = {name: take(count * lanes) for name, take, lanes in inputs}
+        columns = None
+        if not any(None in words for words in taken.values()):
+            try:
+                columns = evaluator.run_columns(taken, count)
+            except Exception:
+                pass  # the instance loop below raises it where it arises
+        if columns is not None:
+            _deliver_columns(ports, columns, count, record)
+            continue
+        for instance in range(count):
+            flush_instance_output(evaluator.run_instance({
+                name: taken[name][instance * lanes:(instance + 1) * lanes]
+                for name, _take, lanes in inputs
+            }))
+
+
+def _deliver_columns(ports, columns, count, record):
+    """Push one phase's output columns instance by instance and port by
+    port, then account the delivered instances in ``produced`` and the
+    trace. After an error that is every instance up to the failing one,
+    on each port up to the failing one, as the instance loop leaves it."""
+    widths = [len(port_columns) for port_columns in columns]
+    emitted = [_interleave(port_columns) for port_columns in columns]
+    settled = [count] * len(ports)
+    try:
+        if len(ports) == 1:
+            router = ports[0][1]
+            before = router.pushed()
+            try:
+                router.push_all(emitted[0])
+            except Exception:
+                settled = [(router.pushed() - before) // widths[0] + 1]
+                raise
+        else:
+            pushes = [
+                (router.push, port_columns)
+                for (_words, router, _counts), port_columns
+                in zip(ports, columns)
+            ]
+            instance = failed = 0
+            try:
+                for instance in range(count):
+                    for failed, (push, port_columns) in enumerate(pushes):
+                        for column in port_columns:
+                            push(column[instance])
+            except Exception:
+                settled = [
+                    instance + (port <= failed) for port in range(len(ports))
+                ]
+                raise
+    finally:
+        if record is not None:
+            record["instances"] += max(settled, default=count)
+        for (words, _router, counts), port_words, width, done in zip(
+            ports, emitted, widths, settled
+        ):
+            words.extend(
+                port_words if done == count else port_words[:done * width]
+            )
+            if counts is not None:
+                counts.extend([width] * done)
+
+
+def _interleave(port_columns):
+    """A port's words in emission order, from one column per output ref."""
+    if len(port_columns) == 1:
+        return port_columns[0]
+    return [word for words in zip(*port_columns) for word in words]
+
+
 def execute_region(region, memory, recurrence_fifos=None, trace=None):
     """Execute one region to completion against ``memory``.
 
@@ -618,11 +845,13 @@ def execute_region(region, memory, recurrence_fifos=None, trace=None):
 
     # Pre-create FIFOs for ports that source recurrences so self-loops and
     # forwards consumed by later regions find their queue.
+    recurrent = False
     for binding in list(region.input_streams.values()) + list(
         region.output_streams.values()
     ):
         for stream in _as_stream_list(binding):
             if isinstance(stream, RecurrenceStream):
+                recurrent = True
                 recurrence_fifos.setdefault(
                     stream.source_port, _RecurrenceQueue()
                 )
@@ -674,6 +903,9 @@ def execute_region(region, memory, recurrence_fifos=None, trace=None):
         pop_trace = record["join_pops"] if record is not None else None
         for vector in _run_join(region, readers, pop_trace):
             flush_instance_output(evaluator.run_instance(vector))
+    elif evaluator.columnar and not recurrent:
+        _run_phases(region, evaluator, readers, routers, produced, record,
+                    flush_instance_output)
     else:
         pipeline = [
             (node.name, readers[node.name].pop, node.lanes)

@@ -236,6 +236,7 @@ class _RegionState:
         self.in_ports = {}    # dfg input name -> (_Port, lanes)
         self.out_ports = {}   # dfg output name -> _Port
         self.inflight = []    # (completion_cycle, {port: words})
+        self.inflight_words = {}  # output port -> words in self.inflight
         self.recur_sinks = {}  # output port -> [(consumer_port_obj, words_left)]
 
     @property
@@ -628,6 +629,7 @@ class _Replay:
                 continue
             self.changed = True
             for out_name, words in emission.items():
+                state.inflight_words[out_name] -= words
                 port = state.out_ports[out_name]
                 recur_words, memory_words = port.assign_production(words)
                 port.fill += memory_words
@@ -646,6 +648,14 @@ class _Replay:
                         )
         state.inflight = remaining
 
+    @staticmethod
+    def _launch(state, cycle, emission):
+        """Put one fired instance's emission in flight."""
+        state.inflight.append((cycle + state.latency, emission))
+        inflight_words = state.inflight_words
+        for out_name, words in emission.items():
+            inflight_words[out_name] = inflight_words.get(out_name, 0) + words
+
     def _try_fire(self, state, cycle):
         if state.all_fired or cycle < state.next_fire:
             return
@@ -661,16 +671,15 @@ class _Replay:
             out_name: state.emitted[out_name][state.fired]
             for out_name in state.out_ports
         }
+        inflight_words = state.inflight_words
         for out_name, words in emission.items():
             port = state.out_ports[out_name]
-            inflight_words = sum(
-                e.get(out_name, 0) for _, e in state.inflight
-            )
-            if port.fill + inflight_words + words > port.capacity:
+            if (port.fill + inflight_words.get(out_name, 0) + words
+                    > port.capacity):
                 return
         for port, lanes in state.in_ports.values():
             port.fill -= lanes
-        state.inflight.append((cycle + state.latency, emission))
+        self._launch(state, cycle, emission)
         state.fired += 1
         state.next_fire = cycle + state.ii
         self.changed = True
@@ -710,7 +719,7 @@ class _Replay:
         comparisons = max(1, left_pops + right_pops - 1)
         comparisons *= state.join_cycle_per_comparison
         state.join_busy_until = cycle + comparisons
-        state.inflight.append((cycle + state.latency, emission))
+        self._launch(state, cycle, emission)
         state.fired += 1
         state.join_cursor += 1
         state.next_fire = cycle + max(state.ii, comparisons)
@@ -963,6 +972,7 @@ class _Replay:
         cycle = self.cycle
         for state in self.state_list:
             if state.inflight:
+                # Same emissions, later: inflight_words stays as it is.
                 state.inflight = [
                     (completion + skipped, emission)
                     for completion, emission in state.inflight
